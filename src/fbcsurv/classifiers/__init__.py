@@ -1,5 +1,5 @@
 from .adaboost import AdaBoostEnsemble, Stump, best_stump, fit_adaboost_ensemble
-from .gbt import GbtEnsemble, fit_gbt_ensemble
+from .gbt import GbtEnsemble
 from .model import (
     MODEL_FAMILIES,
     Hyperparameters,
@@ -9,6 +9,7 @@ from .model import (
     fit_adaboost,
     fit_decision_tree,
     fit_gbt,
+    fit_gbt_group,
     fit_model,
     predict,
 )
@@ -30,7 +31,7 @@ __all__ = [
     "fit_adaboost_ensemble",
     "fit_decision_tree",
     "fit_gbt",
-    "fit_gbt_ensemble",
+    "fit_gbt_group",
     "fit_model",
     "grow_classification_tree",
     "predict",

@@ -2,7 +2,9 @@
 
 Each round fits a depth-limited regression tree to the per-row gradients and
 hessians of the logistic loss; leaf weights carry an L2 penalty. No row or
-column subsampling, so fits are fully deterministic.
+column subsampling, so fits are fully deterministic. Models that train on
+prefixes of one binned matrix are boosted in lockstep, one tree level of every
+model at a time; each model comes out as if it had been boosted alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .splits import BinnedMatrix
-from .tree import TreeNode, grow_regression_tree, node_from_dict, node_to_dict, predict_values
+from .tree import NewtonGrower, TreeNode, node_from_dict, node_to_dict, predict_values
 
 _PRIOR_EPS = 1e-12
 
@@ -22,8 +24,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _mean_logistic_loss(scores: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
+def _mean_logistic_loss(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per model (row of scores): the mean logistic loss over the training rows."""
+    return np.mean(np.logaddexp(0.0, scores) - y * scores, axis=-1)
 
 
 @dataclass
@@ -60,24 +63,30 @@ class GbtEnsemble:
         )
 
 
-def fit_gbt_ensemble(
-    X: np.ndarray, y: np.ndarray, rounds: int, depth: int, learning_rate: float, l2: float
-) -> GbtEnsemble:
+def fit_gbt_ensembles(
+    bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, rounds: int, depth: int, learning_rate: float, l2: float
+) -> tuple[list[GbtEnsemble], np.ndarray]:
+    """Boost one ensemble per k in lockstep; model i trains on the first ks[i] columns of bm.
+
+    Also returns the final training scores, one row per model.
+    """
     n = len(y)
     y_f = y.astype(np.float64)
     prior = min(max(float(y_f.mean()), _PRIOR_EPS), 1.0 - _PRIOR_EPS)
     init = math.log(prior / (1.0 - prior))
-    ensemble = GbtEnsemble(init_score=init, learning_rate=learning_rate)
-    bm = BinnedMatrix(np.asarray(X, dtype=np.int64))
-    scores = np.full(n, init, dtype=np.float64)
-    ensemble.train_losses.append(_mean_logistic_loss(scores, y_f))
-    row_values = np.empty(n, dtype=np.float64)
+    ensembles = [GbtEnsemble(init_score=init, learning_rate=learning_rate) for _ in ks]
+    grower = NewtonGrower(bm, ks, depth, l2)
+    scores = np.full((len(ks), n), init, dtype=np.float64)
+    row_values = np.empty((len(ks), n), dtype=np.float64)
+    for ensemble, loss in zip(ensembles, _mean_logistic_loss(scores, y_f).tolist()):
+        ensemble.train_losses.append(loss)
     for _ in range(rounds):
         p = _sigmoid(scores)
         g = p - y_f
         h = p * (1.0 - p)
-        tree = grow_regression_tree(bm, g, h, depth, l2, row_values)
-        ensemble.trees.append(tree)
+        trees = grower.grow(g, h, row_values)
         scores = scores + learning_rate * row_values
-        ensemble.train_losses.append(_mean_logistic_loss(scores, y_f))
-    return ensemble
+        for ensemble, tree, loss in zip(ensembles, trees, _mean_logistic_loss(scores, y_f).tolist()):
+            ensemble.trees.append(tree)
+            ensemble.train_losses.append(loss)
+    return ensembles, scores

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .adaboost import AdaBoostEnsemble, fit_adaboost_ensemble
-from .gbt import GbtEnsemble, fit_gbt_ensemble
+from .gbt import GbtEnsemble, fit_gbt_ensembles
+from .splits import BinnedMatrix
 from .tree import TreeNode, dump_tree, grow_classification_tree, node_from_dict, node_to_dict, predict_classes
 
 
@@ -142,8 +143,31 @@ def fit_gbt(
     X: np.ndarray, y: np.ndarray, hp: Hyperparameters, feature_names: tuple[str, ...] | None = None
 ) -> TrainedModel:
     X, y, names = _validate_training_input(X, y, feature_names)
-    ensemble = fit_gbt_ensemble(X, y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2)
-    return TrainedModel(family=ModelFamily.GBT, feature_names=names, model=ensemble)
+    models, _ = fit_gbt_group(BinnedMatrix(X), y, hp, (X.shape[1],), names)
+    return models[0]
+
+
+def fit_gbt_group(
+    binned: BinnedMatrix, y: np.ndarray, hp: Hyperparameters, ks: tuple[int, ...], feature_names: tuple[str, ...]
+) -> tuple[list[TrainedModel], np.ndarray]:
+    """One GBT per k, boosted in lockstep; model i trains on the first ks[i] columns of binned.
+
+    Each model equals `fit_gbt` on those columns. Also returns the final
+    training scores, one row per model (score > 0 predicts class 1).
+    """
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (binned.n,) or not np.isin(y, (0, 1)).all():
+        raise ValueError("y must hold one binary 0/1 target per row of the binned matrix")
+    if len(feature_names) < max(ks):
+        raise ValueError("feature_names must name every column the largest k uses")
+    ensembles, scores = fit_gbt_ensembles(
+        binned, tuple(ks), y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2
+    )
+    models = [
+        TrainedModel(family=ModelFamily.GBT, feature_names=tuple(feature_names[:k]), model=ensemble)
+        for k, ensemble in zip(ks, ensembles)
+    ]
+    return models, scores
 
 
 def fit_model(

@@ -1,12 +1,13 @@
 """Flat-histogram split scanning for integer feature matrices.
 
-Features are binned once per fit: dense value codes for narrow columns,
-rank codes (np.unique) for wide ones. Every column's bins live in one flat
-code space, so a node's class/gradient sums over all (feature, bin) cells
-come from a single bincount pass, and the best split is an argmax over the
-flat gain vector. Flat order is column-major by feature then ascending value,
-which makes "first max" exactly the deterministic tie-break: lowest feature
-index, then lowest threshold.
+Features are binned once per fit: each column is rank-coded (np.unique), so
+it has one bin per distinct value present. Every column's bins live in one
+flat code space, so a node's class/gradient sums over all (feature, bin)
+cells come from a single bincount pass, and the best split is an argmax over
+the flat gain vector. Flat order is column-major by feature then ascending
+value, which makes "first max" exactly the deterministic tie-break: lowest
+feature index, then lowest threshold. The bins of the first k columns are a
+prefix of the flat code space, so one binning serves every column prefix.
 
 Splits are `feature <= t` with t the midpoint between consecutive distinct
 values present at the node, so integer features give a finite, exact set.
@@ -15,8 +16,6 @@ values present at the node, so integer features give a finite, exact set.
 from __future__ import annotations
 
 import numpy as np
-
-_DENSE_SPAN_CAP = 512
 
 
 class BinnedMatrix:
@@ -31,17 +30,8 @@ class BinnedMatrix:
         codes = np.empty_like(X)
         values: list[np.ndarray] = []
         for j in range(self.d):
-            col = X[:, j]
-            vmin = int(col.min())
-            vmax = int(col.max())
-            span = vmax - vmin + 1
-            if span <= _DENSE_SPAN_CAP:
-                codes[:, j] = col - vmin
-                values.append(np.arange(vmin, vmax + 1, dtype=np.float64))
-            else:
-                uniq, inverse = np.unique(col, return_inverse=True)
-                codes[:, j] = inverse
-                values.append(uniq.astype(np.float64))
+            uniq, codes[:, j] = np.unique(X[:, j], return_inverse=True)
+            values.append(uniq.astype(np.float64))
             offsets.append(offsets[-1] + len(values[-1]))
         self.offsets = np.asarray(offsets, dtype=np.int64)  # segment bounds, len d+1
         self.n_bins = int(self.offsets[-1])

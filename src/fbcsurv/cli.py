@@ -296,6 +296,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cohort = _load_cohort(args)
     filtered, report = apply_inclusion_filters(cohort)
     if not filtered.patients:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import MODEL_FAMILIES, Hyperparameters, fit_model, predict
+from .classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_gbt_group, fit_model, predict
+from .classifiers.splits import BinnedMatrix
 from .cohort import Cohort, Measure, SurvivalStatus, survival_label
 from .features import FeatureMatrix, build_matrix
 from .labeling import (
@@ -32,6 +33,8 @@ from .ranges import SOFT_MARGIN_DEFAULT
 from .selection import rank_features
 
 N_FOLDS = 10
+# GBT models of one fold boost in lockstep while n_train * sum(k) stays within this many elements
+GBT_GROUP_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,19 @@ def _rates(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
     return accuracy, sensitivity, specificity
 
 
+def _lockstep_groups(k_values: tuple[int, ...], n_rows: int) -> list[tuple[int, ...]]:
+    """Consecutive k values whose GBT models boost together within GBT_GROUP_ELEMENTS.
+
+    A k whose own n_rows * k exceeds the budget forms a group of one.
+    """
+    groups: list[list[int]] = [[]]
+    for k in k_values:
+        if groups[-1] and n_rows * (sum(groups[-1]) + k) > GBT_GROUP_ELEMENTS:
+            groups.append([])
+        groups[-1].append(k)
+    return [tuple(group) for group in groups]
+
+
 def _fold_task(args) -> list[FoldRecord]:
     (version_value, fold, X, y, column_names, train_idx, test_idx, k_values, hp) = args
     train_hash = _index_hash(train_idx)
@@ -142,16 +158,30 @@ def _fold_task(args) -> list[FoldRecord]:
     X_test, y_test = X[test_idx], y[test_idx]
     ranking = rank_features(X_train, y_train, column_names, max(k_values))
     col_pos = {name: j for j, name in enumerate(column_names)}
+    # every selected set is a prefix of the fold's ranking, so one top-max(k) matrix serves all k
+    top = tuple(name for name, _ in ranking.entries[: max(k_values)])
+    cols = [col_pos[name] for name in top]
+    X_train = X_train[:, cols]
+    X_test = X_test[:, cols]
+    binned = BinnedMatrix(X_train)
+    # k -> (test rates, training accuracy); a group's models are scored, then dropped
+    gbt = {}
+    for ks in _lockstep_groups(k_values, len(y_train)):
+        models, train_scores = fit_gbt_group(binned, y_train, hp, ks, top)
+        for k, model, scores in zip(ks, models, train_scores):
+            gbt[k] = (_rates(predict(model, X_test[:, :k]), y_test), float(np.mean((scores > 0) == y_train)))
     records = []
     for k in k_values:
-        selected = tuple(name for name, _ in ranking.entries[:k])
-        cols = [col_pos[name] for name in selected]
-        Xk_train = X_train[:, cols]
-        Xk_test = X_test[:, cols]
+        selected = top[:k]
+        Xk_train = X_train[:, :k]
         for family in MODEL_FAMILIES:
-            model = fit_model(family, Xk_train, y_train, hp, selected)
-            accuracy, sensitivity, specificity = _rates(predict(model, Xk_test), y_test)
-            train_accuracy = float(np.mean(predict(model, Xk_train) == y_train))
+            if family is ModelFamily.GBT:
+                rates, train_accuracy = gbt[k]
+            else:
+                model = fit_model(family, Xk_train, y_train, hp, selected)
+                rates = _rates(predict(model, X_test[:, :k]), y_test)
+                train_accuracy = float(np.mean(predict(model, Xk_train) == y_train))
+            accuracy, sensitivity, specificity = rates
             records.append(
                 FoldRecord(
                     version=version_value,
@@ -191,6 +221,8 @@ def run_sweep(
         raise ValueError("empty cohort after inclusion filters")
     if not versions or not k_values:
         raise ValueError("need at least one labeling version and one k value")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     k_values = tuple(sorted(set(k_values)))
     labels = label_cohort(cohort, window, far_days, margin)
     matrices = {version: build_matrix(cohort, labels, version) for version in versions}
@@ -215,8 +247,9 @@ def run_sweep(
                     hp,
                 )
             )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_fold_task, tasks))
     else:
         per_task = [_fold_task(task) for task in tasks]

@@ -16,7 +16,7 @@ from fbcsurv.classifiers import (
     predict,
 )
 from fbcsurv.classifiers.splits import BinnedMatrix
-from fbcsurv.classifiers.tree import grow_regression_tree
+from fbcsurv.classifiers.tree import NewtonGrower
 
 HP = Hyperparameters()
 
@@ -246,10 +246,10 @@ def test_gbt_zero_rounds_predicts_prior_class():
 def test_gbt_leaf_value_formula():
     # constant feature forces a single leaf: value = -sum(g) / (sum(h) + l2)
     bm = BinnedMatrix(np.array([[1], [1]]))
-    g = np.array([1.0, 1.0])
-    h = np.array([1.0, 1.0])
-    out = np.empty(2)
-    root = grow_regression_tree(bm, g, h, max_depth=3, l2=1.0, row_values=out)
+    g = np.array([[1.0, 1.0]])
+    h = np.array([[1.0, 1.0]])
+    out = np.empty((1, 2))
+    (root,) = NewtonGrower(bm, (1,), max_depth=3, l2=1.0).grow(g, h, out)
     assert root.is_leaf
     assert root.value == pytest.approx(-2.0 / 3.0, abs=0)
 

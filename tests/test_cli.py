@@ -153,6 +153,14 @@ def test_evaluate_empty_cohort_message(tmp_path, capsys):
     assert "empty cohort after inclusion filters" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_evaluate_rejects_non_positive_jobs(cohort_dir, tmp_path, capsys, jobs):
+    code, _, err = run(capsys, "evaluate", "--in", str(cohort_dir), "--out", str(tmp_path / "o"), "--jobs", jobs)
+    assert code == 1
+    assert f"error: --jobs must be >= 1, got {jobs}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_input_fails_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "stats", "--in", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o"))
     assert code == 1

@@ -3,6 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from fbcsurv import evaluation
 from fbcsurv.classifiers import Hyperparameters, ModelFamily, fit_model, predict
 from fbcsurv.cohort import Measure, apply_inclusion_filters
 from fbcsurv.evaluation import (
@@ -147,6 +148,42 @@ def test_sweep_deterministic_and_jobs_independent(small_sweep):
     )
     assert report.records == again.records
     assert report.records == parallel.records
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs tasks in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_sweep_pool_never_exceeds_the_task_count(small_sweep, monkeypatch):
+    filtered, report = small_sweep
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    one_version = run_sweep(filtered, versions=(Version.V1,), k_values=(5, 6, 7), hp=FAST_HP, seed=14, jobs=64)
+    both = run_sweep(filtered, versions=(Version.V1, Version.V4), k_values=(5, 6, 7), hp=FAST_HP, seed=14, jobs=3)
+    assert _RecordingPool.sizes == [10, 3]
+    assert both.records == report.records
+    assert one_version.records == [r for r in report.records if r.version == "v1"]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_non_positive_jobs(small_sweep, jobs):
+    filtered, _ = small_sweep
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_sweep(filtered, versions=(Version.V1,), k_values=(5,), hp=FAST_HP, seed=14, jobs=jobs)
 
 
 def test_sweep_summary_aggregates_folds(small_sweep):

@@ -1,0 +1,216 @@
+"""The lockstep Newton grower against the per-node reference and a brute-force split oracle."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fbcsurv.classifiers import Hyperparameters, fit_gbt, fit_gbt_group
+from fbcsurv.classifiers.splits import BinnedMatrix
+from fbcsurv.classifiers.tree import NewtonGrower, node_to_dict
+from fbcsurv.evaluation import GBT_GROUP_ELEMENTS, _lockstep_groups
+
+from gbt_reference import fit_gbt_reference, grow_regression_tree
+
+
+@st.composite
+def integer_matrices(draw, max_rows=40, max_cols=6):
+    """Small integer matrices; some columns constant, some with a wide value span."""
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_cols))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["constant", "narrow", "wide"]))
+        if kind == "constant":
+            columns.append([draw(st.integers(-3, 3))] * n)
+        else:
+            high = 3 if kind == "narrow" else 2000
+            columns.append(draw(st.lists(st.integers(0, high), min_size=n, max_size=n)))
+    return np.array(columns, dtype=np.int64).T.reshape(n, d)
+
+
+@st.composite
+def prefix_groups(draw, d):
+    """A non-empty ascending set of column-prefix lengths; often a group of one."""
+    return tuple(sorted(draw(st.sets(st.integers(1, d), min_size=1, max_size=min(d, 4)))))
+
+
+def _tree_json(tree) -> str:
+    return json.dumps(node_to_dict(tree), sort_keys=True)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_lockstep_boosting_matches_per_node_reference(data):
+    X = data.draw(integer_matrices())
+    n, d = X.shape
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    ks = data.draw(prefix_groups(d))
+    learning_rate = data.draw(st.sampled_from([0.1, 0.3, 1.0]))
+    # with l2 = 0 and full steps, scores saturate the sigmoid and the reference divides 0 by 0
+    l2 = data.draw(st.sampled_from([0.25, 1.0] if learning_rate == 1.0 else [0.0, 0.25, 1.0]))
+    hp = Hyperparameters(
+        gbt_rounds=data.draw(st.integers(0, 6)),
+        gbt_depth=data.draw(st.integers(1, 4)),
+        gbt_learning_rate=learning_rate,
+        gbt_l2=l2,
+    )
+    names = tuple(f"f{j}" for j in range(d))
+    models, train_scores = fit_gbt_group(BinnedMatrix(X), y, hp, ks, names)
+    assert [m.feature_names for m in models] == [names[:k] for k in ks]
+    for model, scores, k in zip(models, train_scores, ks):
+        reference, reference_scores = fit_gbt_reference(
+            X[:, :k], y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2
+        )
+        assert json.dumps(model.model.to_dict(), sort_keys=True) == json.dumps(reference.to_dict(), sort_keys=True)
+        assert model.model.train_losses == reference.train_losses
+        assert np.array_equal(scores, reference_scores)
+        assert np.array_equal(model.model.decision_scores(X[:, :k]), reference.decision_scores(X[:, :k]))
+        alone = fit_gbt(X[:, :k], y, hp, names[:k])
+        assert json.dumps(alone.to_dict(), sort_keys=True) == json.dumps(model.to_dict(), sort_keys=True)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_lockstep_trees_match_reference_for_arbitrary_gradients(data):
+    X = data.draw(integer_matrices())
+    n, d = X.shape
+    ks = data.draw(prefix_groups(d))
+    l2 = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    depth = data.draw(st.integers(1, 5))
+    hess = st.floats(1e-3, 4.0) if l2 == 0.0 else st.floats(0.0, 4.0)
+    g = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n * len(ks), max_size=n * len(ks))))
+    h = np.array(data.draw(st.lists(hess, min_size=n * len(ks), max_size=n * len(ks))))
+    g = g.reshape(len(ks), n)
+    h = h.reshape(len(ks), n)
+    row_values = np.empty((len(ks), n))
+    trees = NewtonGrower(BinnedMatrix(X), ks, depth, l2).grow(g, h, row_values)
+    for m, k in enumerate(ks):
+        expected_values = np.empty(n)
+        expected = grow_regression_tree(BinnedMatrix(X[:, :k]), g[m], h[m], depth, l2, expected_values)
+        assert _tree_json(trees[m]) == _tree_json(expected)
+        assert np.array_equal(row_values[m], expected_values)
+
+
+def test_group_fit_rejects_bad_inputs():
+    X = np.array([[0, 1], [1, 0], [2, 2]])
+    binned = BinnedMatrix(X)
+    hp = Hyperparameters(gbt_rounds=2)
+    with pytest.raises(ValueError, match="binary"):
+        fit_gbt_group(binned, np.array([0, 1]), hp, (1,), ("a", "b"))
+    with pytest.raises(ValueError, match="binary"):
+        fit_gbt_group(binned, np.array([0, 2, 1]), hp, (1,), ("a", "b"))
+    with pytest.raises(ValueError, match="column prefixes"):
+        fit_gbt_group(binned, np.array([0, 1, 1]), hp, (0, 2), ("a", "b"))
+    with pytest.raises(ValueError, match="column prefixes"):
+        fit_gbt_group(binned, np.array([0, 1, 1]), hp, (3,), ("a", "b", "c"))
+    with pytest.raises(ValueError, match="feature_names"):
+        fit_gbt_group(binned, np.array([0, 1, 1]), hp, (2,), ("a",))
+
+
+def test_single_row_and_constant_columns_make_single_leaves():
+    X = np.array([[4, 7]])
+    for ks in [(1,), (2,), (1, 2)]:
+        row_values = np.empty((len(ks), 1))
+        trees = NewtonGrower(BinnedMatrix(X), ks, 3, 1.0).grow(np.full((len(ks), 1), 0.5), np.full((len(ks), 1), 0.25), row_values)
+        assert all(tree.is_leaf and tree.n == 1 for tree in trees)
+        assert row_values.tolist() == [[-0.5 / 1.25]] * len(ks)
+    constant = np.full((6, 3), 2)
+    trees = NewtonGrower(BinnedMatrix(constant), (3,), 3, 0.0).grow(np.ones((1, 6)), np.ones((1, 6)), np.empty((1, 6)))
+    assert trees[0].is_leaf and trees[0].value == -1.0
+
+
+def test_saturated_leaf_without_l2_fails_clearly():
+    # pure leaves with l2 = 0 push the scores until the sigmoid saturates and a leaf's hessian sum is 0
+    X = np.array([[0], [1]])
+    y = np.array([0, 1])
+    hp = Hyperparameters(gbt_rounds=100, gbt_depth=1, gbt_learning_rate=1.0, gbt_l2=0.0)
+    with pytest.raises(ZeroDivisionError):
+        fit_gbt_reference(X, y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2)
+    with pytest.raises(ValueError, match="zero hessian sum"):
+        fit_gbt(X, y, hp)
+
+
+# ---------------------------------------------------------------------------
+# brute-force Newton split oracle
+# ---------------------------------------------------------------------------
+
+
+def _newton_gain(GL, HL, GR, HR, l2):
+    G, H = GL + GR, HL + HR
+    return 0.5 * (GL * GL / (HL + l2) + GR * GR / (HR + l2) - G * G / (H + l2))
+
+
+def _brute_force_root_split(X, g, h, l2):
+    """(gain, feature, threshold) of the best split in (feature, threshold) order; None if gain <= 0."""
+    n, d = X.shape
+    best = None
+    for j in range(d):
+        distinct = sorted(set(X[:, j].tolist()))
+        for a, b in zip(distinct, distinct[1:]):
+            threshold = (a + b) / 2.0
+            left = [i for i in range(n) if X[i, j] <= threshold]
+            right = [i for i in range(n) if X[i, j] > threshold]
+            gain = _newton_gain(
+                sum(g[i] for i in left), sum(h[i] for i in left), sum(g[i] for i in right), sum(h[i] for i in right), l2
+            )
+            if best is None or gain > best[0]:
+                best = (gain, j, threshold)
+    if best is None or best[0] <= 0.0:
+        return None
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_root_split_matches_brute_force_oracle(data):
+    X = data.draw(integer_matrices(max_rows=30, max_cols=4))
+    n, d = X.shape
+    # multiples of 1/8 keep every sum exact, so equal gains tie exactly and the tie-break is checked
+    eighths = st.integers(-16, 16).map(lambda v: v / 8.0)
+    g = data.draw(st.lists(eighths, min_size=n, max_size=n))
+    h = data.draw(st.lists(st.integers(1, 16).map(lambda v: v / 8.0), min_size=n, max_size=n))
+    l2 = data.draw(st.sampled_from([0.0, 1.0]))
+    (root,) = NewtonGrower(BinnedMatrix(X), (d,), 1, l2).grow(np.array([g]), np.array([h]), np.empty((1, n)))
+    expected = _brute_force_root_split(X, g, h, l2)
+    if expected is None:
+        assert root.is_leaf
+        return
+    _, feature, threshold = expected
+    assert (root.feature, root.threshold) == (feature, threshold)
+    left = X[:, feature] <= threshold
+    GL = sum(v for v, m in zip(g, left) if m)
+    HL = sum(v for v, m in zip(h, left) if m)
+    assert root.left.n == int(left.sum())
+    assert root.left.value == -GL / (HL + l2)
+
+
+def test_oracle_tie_break_prefers_lowest_feature_then_threshold():
+    # columns 0 and 1 are identical: both give the same best gain, feature 0 must win
+    X = np.array([[0, 0, 5], [1, 1, 5], [2, 2, 5], [3, 3, 5]])
+    g = np.array([[-1.0, -1.0, 1.0, 1.0]])
+    h = np.ones((1, 4))
+    (root,) = NewtonGrower(BinnedMatrix(X), (3,), 1, 1.0).grow(g, h, np.empty((1, 4)))
+    assert (root.feature, root.threshold) == (0, 1.5)
+    # symmetric gradients: thresholds 0.5 and 2.5 tie, the lower one must win
+    g = np.array([[-1.0, 1.0, 1.0, -1.0]])
+    (root,) = NewtonGrower(BinnedMatrix(X[:, :1]), (1,), 1, 1.0).grow(g, h, np.empty((1, 4)))
+    assert root.threshold == 0.5
+
+
+# ---------------------------------------------------------------------------
+# lockstep groups in the sweep
+# ---------------------------------------------------------------------------
+
+
+def test_lockstep_groups_respect_the_element_budget():
+    k_values = tuple(range(5, 26))
+    groups = _lockstep_groups(k_values, 424)
+    assert tuple(k for group in groups for k in group) == k_values
+    assert all(424 * sum(group) <= GBT_GROUP_ELEMENTS for group in groups)
+    # a group cannot take the next k without going over the budget
+    assert all(424 * (sum(group) + nxt[0]) > GBT_GROUP_ELEMENTS for group, nxt in zip(groups, groups[1:]))
+    # at large n every model boosts alone, and an oversized k still gets its group of one
+    assert _lockstep_groups((5, 6, 7), 4500) == [(5,), (6,), (7,)]
+    assert _lockstep_groups((25,), 10**6) == [(25,)]
