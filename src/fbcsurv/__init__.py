@@ -5,7 +5,7 @@ from .cohort import (
     CohortError,
     FilterReport,
     Measure,
-    PathologyObservation,
+    Observations,
     PatientRecord,
     ReferenceRange,
     Sex,
@@ -16,8 +16,8 @@ from .cohort import (
     survival_label,
     write_cohort,
 )
-from .labeling import DiagnosisWindow, Group, Version, assign_group, label_cohort, label_version
-from .ranges import RangeStatus, classify, classify_value, soft_bounds
+from .labeling import CohortLabels, DiagnosisWindow, Group, Version, assign_group, label_cohort, label_version
+from .ranges import RangeStatus, classify_value, range_codes, soft_bounds
 from .features import FeatureMatrix, age_group, build_matrix, feature_columns
 from .selection import FeatureRanking, chi2_statistic, select_top_k
 from .classifiers import Hyperparameters, ModelFamily, TrainedModel, predict

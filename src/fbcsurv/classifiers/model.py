@@ -33,7 +33,6 @@ class Hyperparameters:
     gbt_depth: int = 3
     gbt_learning_rate: float = 0.1
     gbt_l2: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.tree_max_depth is not None and self.tree_max_depth < 1:
@@ -58,7 +57,6 @@ class Hyperparameters:
             "gbt_depth": self.gbt_depth,
             "gbt_learning_rate": self.gbt_learning_rate,
             "gbt_l2": self.gbt_l2,
-            "seed": self.seed,
         }
 
     @classmethod

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
@@ -312,7 +313,6 @@ def _cmd_evaluate(args) -> int:
         gbt_depth=args.gbt_depth,
         gbt_learning_rate=args.gbt_learning_rate,
         gbt_l2=args.gbt_l2,
-        seed=args.seed,
     )
     sweep = run_sweep(
         filtered,
@@ -372,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CohortError, ValueError, OSError, KeyError) as exc:
+    except (CohortError, ValueError, OSError, KeyError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,17 +4,27 @@ A cohort is a set of cancer patients with demographics, a diagnosis date,
 an optional death date, and a history of timestamped pathology observations.
 Each observation carries its own laboratory reference range because normal
 ranges vary by reporting laboratory.
+
+Observations are stored column-wise: one record buffer per cohort holds the
+measure code, value, date ordinal and range bounds of every result, grouped
+by patient and in file order within a patient, and each patient's
+`Observations` is a slice of it. No per-observation Python object is built.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 FOLLOW_UP_DAYS = 730  # "2 years" fixed as 730 days; deterministic boundary
 
@@ -33,6 +43,8 @@ class Measure(Enum):
 
 
 MEASURES = tuple(Measure)
+# measure -> its code in the observation columns (the panel-order index)
+MEASURE_CODE = {m: code for code, m in enumerate(MEASURES)}
 
 
 class Sex(Enum):
@@ -63,7 +75,7 @@ class CohortError(ValueError):
 
 @dataclass(frozen=True)
 class ReferenceRange:
-    """Laboratory-reported normal interval, attached per individual test."""
+    """Laboratory-reported normal interval (the scalar form of an observation's ref_low/ref_high)."""
 
     low: float
     high: float
@@ -77,17 +89,87 @@ class ReferenceRange:
         return self.high - self.low
 
 
-@dataclass(frozen=True)
-class PathologyObservation:
-    patient_id: str
-    measure: Measure
-    value: float
-    date: date
-    range: ReferenceRange
+OBSERVATION_DTYPE = np.dtype(
+    [("value", np.float64), ("ref_low", np.float64), ("ref_high", np.float64), ("day", np.int32), ("measure", np.int8)],
+    align=True,
+)
 
-    def __post_init__(self):
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"observation value must be finite and non-negative, got {self.value}")
+
+class Observations:
+    """Pathology results column-wise in one read-only record buffer, in file order.
+
+    Columns: `measure` (code into MEASURES), `value`, `day` (date ordinal,
+    `date.toordinal()`), `ref_low` and `ref_high`. Each column is a view of
+    the buffer; a patient's Observations is a slice of its cohort's buffer.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        if rows.dtype != OBSERVATION_DTYPE:
+            raise TypeError(f"observation rows must have dtype {OBSERVATION_DTYPE}, got {rows.dtype}")
+        rows = rows.view()
+        rows.flags.writeable = False
+        self.rows = rows
+
+    @classmethod
+    def from_columns(cls, measure, value, day, ref_low, ref_high) -> Observations:
+        """Build from equal-length sequences: measure codes, values, date ordinals and range bounds."""
+        rows = np.zeros(len(value), OBSERVATION_DTYPE)
+        rows["measure"] = measure
+        rows["value"] = value
+        rows["day"] = day
+        rows["ref_low"] = ref_low
+        rows["ref_high"] = ref_high
+        return cls(rows)
+
+    @classmethod
+    def concat(cls, parts: list[Observations]) -> Observations:
+        if not parts:
+            return cls(np.zeros(0, OBSERVATION_DTYPE))
+        return cls(np.concatenate([p.rows for p in parts]))
+
+    @property
+    def measure(self) -> np.ndarray:
+        return self.rows["measure"]
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.rows["value"]
+
+    @property
+    def day(self) -> np.ndarray:
+        return self.rows["day"]
+
+    @property
+    def ref_low(self) -> np.ndarray:
+        return self.rows["ref_low"]
+
+    @property
+    def ref_high(self) -> np.ndarray:
+        return self.rows["ref_high"]
+
+    def split(self, counts) -> list[Observations]:
+        """Consecutive slices of the given lengths, e.g. one per patient; slices are views."""
+        ends = np.cumsum(counts, dtype=np.int64).tolist()
+        return [Observations(self.rows[start:end]) for start, end in zip([0, *ends], ends)]
+
+    def measure_counts(self) -> np.ndarray:
+        """Number of results per measure, in MEASURES order."""
+        return np.bincount(self.measure, minlength=len(MEASURES))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Observations):
+            return NotImplemented
+        return bool(np.array_equal(self.rows, other.rows))
+
+    __hash__ = None  # equality is by content
+
+    def __repr__(self) -> str:
+        return f"Observations({len(self)} rows)"
 
 
 @dataclass(frozen=True)
@@ -97,13 +179,15 @@ class PatientRecord:
     age_at_diagnosis: int
     diagnosis_date: date
     death_date: date | None
-    observations: tuple[PathologyObservation, ...] = ()
-
-    def observations_for(self, measure: Measure) -> tuple[PathologyObservation, ...]:
-        return tuple(o for o in self.observations if o.measure is measure)
+    observations: Observations = field(default_factory=lambda: Observations.from_columns([], [], [], [], []))
+    # the per-patient labeling calls keep this record's label table here, per (window, far_days, margin)
+    label_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def has_measure(self, measure: Measure) -> bool:
-        return any(o.measure is measure for o in self.observations)
+        return bool((self.observations.measure == MEASURE_CODE[measure]).any())
+
+    def has_full_panel(self) -> bool:
+        return bool(self.observations.measure_counts().all())
 
 
 @dataclass(frozen=True)
@@ -160,7 +244,7 @@ def apply_inclusion_filters(cohort: Cohort) -> tuple[Cohort, FilterReport]:
         if patient.diagnosis_date + timedelta(days=FOLLOW_UP_DAYS) > cohort.data_end_date:
             report.removed_insufficient_followup += 1
             continue
-        if not all(patient.has_measure(m) for m in MEASURES):
+        if not patient.has_full_panel():
             report.removed_incomplete_panel += 1
             continue
         kept.append(patient)
@@ -217,6 +301,7 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
 
     Every malformed row is reported with file, line, and field; nothing is
     silently dropped. All problems found are aggregated into one CohortError.
+    Valid observation rows are appended to typed columns, not to objects.
     """
     patients_file = Path(patients_file)
     observations_file = Path(observations_file)
@@ -224,7 +309,8 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
     pfile = str(patients_file)
     ofile = str(observations_file)
 
-    patients: dict[str, PatientRecord] = {}
+    # patient_id -> (sex, age, diagnosis, death), in file order
+    patients: dict[str, tuple[Sex, int, date, date | None]] = {}
     with open(patients_file, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -267,11 +353,14 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
                         f"precedes diagnosis_date {diagnosis.isoformat()}"
                     )
                     continue
-            patients[pid] = PatientRecord(
-                patient_id=pid, sex=sex, age_at_diagnosis=age, diagnosis_date=diagnosis, death_date=death
-            )
+            patients[pid] = (sex, age, diagnosis, death)
 
-    observations: dict[str, list[PathologyObservation]] = {pid: [] for pid in patients}
+    index = {pid: i for i, pid in enumerate(patients)}
+    code_of = {m.value: code for m, code in MEASURE_CODE.items()}
+    end_day = data_end_date.toordinal()
+    day_of: dict[str, int] = {}  # date text -> ordinal; a cohort repeats a few thousand dates
+    patient_col, measure_col, day_col = array("q"), array("b"), array("q")
+    value_col, low_col, high_col = array("d"), array("d"), array("d")
     with open(observations_file, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -281,20 +370,24 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
             if len(row) != len(OBSERVATIONS_COLUMNS):
                 problems.append(f"{ofile}:{line}: expected {len(OBSERVATIONS_COLUMNS)} fields, got {len(row)}")
                 continue
-            pid, measure_raw, value_raw, date_raw, low_raw, high_raw = (v.strip() for v in row)
-            if pid not in patients:
+            pid, measure_raw, value_raw, date_raw, low_raw, high_raw = map(str.strip, row)
+            i = index.get(pid)
+            if i is None:
                 problems.append(f"{ofile}:{line}: field 'patient_id': unknown patient_id {pid!r}")
                 continue
-            try:
-                measure = Measure(measure_raw)
-            except ValueError:
+            code = code_of.get(measure_raw)
+            if code is None:
                 problems.append(f"{ofile}:{line}: field 'measure': unknown measure {measure_raw!r}")
                 continue
             value = _parse_float(value_raw, ofile, line, "value", problems)
-            obs_date = _parse_date(date_raw, ofile, line, "date", problems)
+            day = day_of.get(date_raw)
+            if day is None:
+                obs_date = _parse_date(date_raw, ofile, line, "date", problems)
+                if obs_date is not None:
+                    day = day_of[date_raw] = obs_date.toordinal()
             low = _parse_float(low_raw, ofile, line, "ref_low", problems)
             high = _parse_float(high_raw, ofile, line, "ref_high", problems)
-            if None in (value, obs_date, low, high):
+            if value is None or day is None or low is None or high is None:
                 continue
             if value < 0:
                 problems.append(f"{ofile}:{line}: field 'value': must be non-negative, got {value}")
@@ -302,23 +395,36 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
             if low >= high:
                 problems.append(f"{ofile}:{line}: field 'ref_low': reference range inverted, low={low} >= high={high}")
                 continue
-            if obs_date > data_end_date:
+            if day > end_day:
                 problems.append(
-                    f"{ofile}:{line}: field 'date': observation date {obs_date.isoformat()} "
+                    f"{ofile}:{line}: field 'date': observation date {date.fromordinal(day).isoformat()} "
                     f"is after data_end_date {data_end_date.isoformat()}"
                 )
                 continue
-            observations[pid].append(
-                PathologyObservation(
-                    patient_id=pid, measure=measure, value=value, date=obs_date, range=ReferenceRange(low, high)
-                )
-            )
+            patient_col.append(i)
+            measure_col.append(code)
+            value_col.append(value)
+            day_col.append(day)
+            low_col.append(low)
+            high_col.append(high)
 
     if problems:
         raise CohortError(problems)
 
+    patient_of = np.frombuffer(patient_col, dtype=np.int64)
+    order = np.argsort(patient_of, kind="stable")  # group by patient, file order within one
+    buffer = Observations.from_columns(
+        *(np.frombuffer(col, dtype=dtype)[order] for col, dtype in (
+            (measure_col, np.int8), (value_col, np.float64), (day_col, np.int64),
+            (low_col, np.float64), (high_col, np.float64),
+        ))
+    )
+    per_patient = buffer.split(np.bincount(patient_of, minlength=len(patients)))
     records = tuple(
-        replace(patient, observations=tuple(observations[pid])) for pid, patient in patients.items()
+        PatientRecord(
+            patient_id=pid, sex=sex, age_at_diagnosis=age, diagnosis_date=diagnosis, death_date=death, observations=obs
+        )
+        for (pid, (sex, age, diagnosis, death)), obs in zip(patients.items(), per_patient)
     )
     return Cohort(patients=records, data_end_date=data_end_date)
 
@@ -340,14 +446,24 @@ def write_cohort(cohort: Cohort, out_dir: str | Path) -> None:
                     p.death_date.isoformat() if p.death_date else "",
                 ]
             )
+    names = [m.value for m in MEASURES]
+    iso = functools.cache(lambda day: date.fromordinal(day).isoformat())
     with open(out / "observations.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OBSERVATIONS_COLUMNS)
         for p in cohort.patients:
-            for o in p.observations:
-                writer.writerow(
-                    [o.patient_id, o.measure.value, repr(o.value), o.date.isoformat(), repr(o.range.low), repr(o.range.high)]
+            o = p.observations
+            # .tolist() gives Python floats, whose repr is the shortest round-trip text
+            writer.writerows(
+                zip(
+                    repeat(p.patient_id),
+                    map(names.__getitem__, o.measure.tolist()),
+                    map(repr, o.value.tolist()),
+                    map(iso, o.day.tolist()),
+                    map(repr, o.ref_low.tolist()),
+                    map(repr, o.ref_high.tolist()),
                 )
+            )
     with open(out / "meta.json", "w") as fh:
         json.dump({"data_end_date": cohort.data_end_date.isoformat()}, fh, indent=2, sort_keys=True)
         fh.write("\n")

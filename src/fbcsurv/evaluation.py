@@ -18,7 +18,7 @@ import numpy as np
 
 from .classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_gbt_group, fit_model, predict
 from .classifiers.splits import BinnedMatrix
-from .cohort import Cohort, Measure, SurvivalStatus, survival_label
+from .cohort import MEASURES, Cohort, Measure, SurvivalStatus, survival_label
 from .features import FeatureMatrix, build_matrix
 from .labeling import (
     DEFAULT_WINDOW,
@@ -26,7 +26,7 @@ from .labeling import (
     DiagnosisWindow,
     Group,
     Version,
-    assign_group,
+    history_groups,
     label_cohort,
 )
 from .ranges import SOFT_MARGIN_DEFAULT
@@ -293,13 +293,8 @@ def cohort_stats(
     table can be computed on a cohort that has not passed the all-measures
     panel filter. Strata: 'all', 'sex:F', 'sex:M', then 'age:<decade>'.
     """
-    memberships: list[tuple[str, int, dict[Measure, Group]]] = []
-    for patient in cohort.patients:
-        groups = {
-            m: assign_group(patient, m, window, margin) for m in Measure if patient.has_measure(m)
-        }
-        deceased = int(survival_label(patient) is SurvivalStatus.DECEASED_WITHIN_2Y)
-        memberships.append((patient.patient_id, deceased, groups))
+    groups = history_groups(cohort.patients, window, margin)
+    deceased = np.array([survival_label(p) is SurvivalStatus.DECEASED_WITHIN_2Y for p in cohort.patients], dtype=bool)
 
     strata: list[tuple[str, np.ndarray]] = []
     n = len(cohort.patients)
@@ -313,16 +308,13 @@ def cohort_stats(
 
     rows = []
     for stratum_name, mask in strata:
-        for measure in Measure:
+        for j, measure in enumerate(MEASURES):
+            # group 0 (no result for the measure) is counted and dropped
+            in_stratum = groups[mask, j]
+            totals = np.bincount(in_stratum, minlength=len(Group) + 1).tolist()
+            deaths = np.bincount(in_stratum[deceased[mask]], minlength=len(Group) + 1).tolist()
             for group in Group:
-                total = 0
-                dead = 0
-                for i, (_, deceased, groups) in enumerate(memberships):
-                    if not mask[i] or measure not in groups:
-                        continue
-                    if groups[measure] is group:
-                        total += 1
-                        dead += deceased
+                total, dead = totals[group.value], deaths[group.value]
                 pct = 100.0 * dead / total if total else 0.0
                 rows.append(
                     StatsRow(

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import Cohort, Measure, MEASURES, Sex, survival_label
-from .labeling import Version
+from .labeling import VERSION_INDEX, CohortLabels, Version
 
 SEX_CODE = {Sex.MALE: 1, Sex.FEMALE: 20}
 
@@ -83,22 +83,22 @@ class FeatureMatrix:
         return self.column_names.index(name)
 
 
-def _scheme_values(base: list[int], sex_code: int) -> list[int]:
-    values = list(base)
-    values.append(sum(base))
-    by_measure = dict(zip(MEASURES, base))
-    combo = [sum(by_measure[m] for m in p) for p in PAIRS]
-    combo += [by_measure[p[0]] * by_measure[p[1]] for p in PAIRS]
-    combo += [sum(by_measure[m] for m in t) for t in TRIPLES]
-    combo += [by_measure[t[0]] * by_measure[t[1]] * by_measure[t[2]] for t in TRIPLES]
-    values += combo
-    values += [c + sex_code for c in combo]
-    return values
+# positions of each pair's and triple's measures in the (n, 5) label matrix
+_PAIR_INDEX = np.array([[MEASURES.index(m) for m in p] for p in PAIRS])
+_TRIPLE_INDEX = np.array([[MEASURES.index(m) for m in t] for t in TRIPLES])
+
+
+def _scheme_block(base: np.ndarray, sex_code: np.ndarray) -> np.ndarray:
+    """The 86 scheme-dependent columns from the (n, 5) base labels, in matrix order."""
+    pairs = base[:, _PAIR_INDEX]
+    triples = base[:, _TRIPLE_INDEX]
+    combo = np.hstack((pairs.sum(axis=2), pairs.prod(axis=2), triples.sum(axis=2), triples.prod(axis=2)))
+    return np.hstack((base, base.sum(axis=1, keepdims=True), combo, combo + sex_code[:, None]))
 
 
 def build_matrix(
     cohort: Cohort,
-    labels: dict[str, dict[Measure, dict[Version, int]]],
+    labels: CohortLabels,
     version: Version,
     extra_version: Version | None = None,
 ) -> FeatureMatrix:
@@ -108,26 +108,19 @@ def build_matrix(
     inputs is byte-identical after serialization.
     """
     columns = feature_columns(extra_version)
-    rows = []
-    target = []
-    for patient in cohort.patients:
-        if patient.patient_id not in labels:
-            raise KeyError(f"patient {patient.patient_id!r} has no label vector")
-        per_measure = labels[patient.patient_id]
-        sex_code = SEX_CODE[patient.sex]
-        base = [per_measure[m][version] for m in MEASURES]
-        scheme = _scheme_values(base, sex_code)
-        row = scheme[:5] + [sex_code, age_group(patient.age_at_diagnosis)] + scheme[5:]
-        if extra_version is not None:
-            extra_base = [per_measure[m][extra_version] for m in MEASURES]
-            row += _scheme_values(extra_base, sex_code)
-        rows.append(row)
-        target.append(survival_label(patient).value)
-    X = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(columns))
-    y = np.asarray(target, dtype=np.int64)
+    patient_ids = cohort.patient_ids()
+    per_patient = labels.rows_for(patient_ids).astype(np.int64)
+    sex_code = np.array([SEX_CODE[p.sex] for p in cohort.patients], dtype=np.int64)
+    ages = np.array([age_group(p.age_at_diagnosis) for p in cohort.patients], dtype=np.int64)
+    scheme = _scheme_block(per_patient[:, :, VERSION_INDEX[version]], sex_code)
+    blocks = [scheme[:, :5], sex_code[:, None], ages[:, None], scheme[:, 5:]]
+    if extra_version is not None:
+        blocks.append(_scheme_block(per_patient[:, :, VERSION_INDEX[extra_version]], sex_code))
+    X = np.hstack(blocks)
+    y = np.array([survival_label(p).value for p in cohort.patients], dtype=np.int64)
     return FeatureMatrix(
         column_names=columns,
-        patient_ids=cohort.patient_ids(),
+        patient_ids=patient_ids,
         X=X,
         y=y,
         version=version,
@@ -139,28 +132,42 @@ def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["patient_id", "target", *matrix.column_names])
-        for pid, row, target in zip(matrix.patient_ids, matrix.X, matrix.y):
-            writer.writerow([pid, int(target), *(int(v) for v in row)])
+        for pid, row, target in zip(matrix.patient_ids, matrix.X.tolist(), matrix.y.tolist()):
+            writer.writerow([pid, target, *row])
 
 
 def read_features_csv(path: str | Path, version: Version = Version.V1) -> FeatureMatrix:
-    """Load a features.csv; the version tag is informational for loaded files."""
+    """Load a features.csv; the version tag is informational for loaded files.
+
+    A row whose field count differs from the header's, a cell that is not an
+    integer, or a target other than 0 or 1 raises ValueError naming path:line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["patient_id", "target"]:
+        header = next(reader, None)
+        if header is None or header[:2] != ["patient_id", "target"]:
             raise ValueError(f"{path}: expected header starting patient_id,target")
         columns = tuple(header[2:])
-        ids, ys, rows = [], [], []
-        for row in reader:
+        ids, rows = [], []
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rows.append([int(v) for v in row[1:]])
+            except ValueError:
+                for name, raw in zip(header[1:], row[1:]):
+                    try:
+                        int(raw)
+                    except ValueError:
+                        raise ValueError(f"{path}:{line}: field {name!r}: must be an integer, got {raw!r}") from None
+            if rows[-1][0] not in (0, 1):
+                raise ValueError(f"{path}:{line}: field 'target': must be 0 or 1, got {row[1]!r}")
             ids.append(row[0])
-            ys.append(int(row[1]))
-            rows.append([int(v) for v in row[2:]])
-    X = np.asarray(rows, dtype=np.int64).reshape(len(ids), len(columns))
+    data = np.asarray(rows, dtype=np.int64).reshape(len(ids), 1 + len(columns))
     return FeatureMatrix(
         column_names=columns,
         patient_ids=tuple(ids),
-        X=X,
-        y=np.asarray(ys, dtype=np.int64),
+        X=np.ascontiguousarray(data[:, 1:]),
+        y=data[:, 0].copy(),
         version=version,
     )

@@ -12,14 +12,15 @@ flag, and values are uniform within or just outside the sampled lab range.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .cohort import Cohort, MEASURES, Measure, PathologyObservation, PatientRecord, ReferenceRange, Sex
-from .labeling import DEFAULT_WINDOW, Group, assign_group
+from .cohort import MEASURE_CODE, MEASURES, Cohort, Measure, Observations, PatientRecord, Sex
+from .labeling import DEFAULT_WINDOW, Group, history_groups
 
 EXTRACT_START = date(2008, 1, 1)
 DIAGNOSIS_SPAN_DAYS = 2922  # diagnoses spread over 8 years
@@ -126,12 +127,14 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return lo + rng.random() * (hi - lo)
 
 
-def _make_observations(
-    rng: np.random.Generator, config: GeneratorConfig, pid: str, diagnosis: date, risky: bool
-) -> list[PathologyObservation]:
+def _draw_observations(
+    rng: np.random.Generator, config: GeneratorConfig, diagnosis_day: int, risky: bool, columns: tuple[array, ...]
+) -> int:
+    """Append one patient's results to the (measure, value, day, ref_low, ref_high) columns; returns the count."""
+    measure_col, value_col, day_col, low_col, high_col = columns
     lo_count, hi_count = config.obs_count_range
-    observations = []
-    for measure in MEASURES:
+    total = 0
+    for code, measure in enumerate(MEASURES):
         p_oor = (config.p_oor_given_risk if risky else config.p_oor_given_no_risk)[measure]
         low_min, low_max, high_min, high_max = config.range_jitter[measure]
         n_obs = int(rng.integers(lo_count, hi_count + 1))
@@ -152,16 +155,13 @@ def _make_observations(
             else:
                 value = low + rng.random() * width
                 offset = int(rng.integers(-HISTORY_DAYS, DEFAULT_WINDOW.end_offset_days + 1))
-            observations.append(
-                PathologyObservation(
-                    patient_id=pid,
-                    measure=measure,
-                    value=value,
-                    date=diagnosis + timedelta(days=offset),
-                    range=ReferenceRange(low, high),
-                )
-            )
-    return observations
+            measure_col.append(code)
+            value_col.append(value)
+            day_col.append(diagnosis_day + offset)
+            low_col.append(low)
+            high_col.append(high)
+        total += n_obs
+    return total
 
 
 def _death_probability(config: GeneratorConfig, group: Group, sex: Sex) -> float:
@@ -173,33 +173,40 @@ def _death_probability(config: GeneratorConfig, group: Group, sex: Sex) -> float
 
 
 def generate(config: GeneratorConfig) -> Cohort:
-    """Sample a cohort deterministically from the seed (one substream per patient)."""
+    """Sample a cohort deterministically from the seed (one substream per patient).
+
+    Each patient's substream draws demographics and observations, then, once
+    the anchor measure's history group is known, the death date.
+    """
     config.validate()
     decades = sorted(config.age_distribution)
     weights = np.array([config.age_distribution[d] for d in decades], dtype=np.float64)
     weights = weights / weights.sum()
-    patients = []
+    columns = (array("b"), array("d"), array("q"), array("d"), array("d"))
+    rngs, demographics, counts = [], [], []
     for i, child_seed in enumerate(np.random.SeedSequence(config.seed).spawn(config.n_patients)):
         rng = np.random.default_rng(child_seed)
-        pid = f"P{i + 1:06d}"
         sex = Sex.MALE if rng.random() < config.sex_ratio else Sex.FEMALE
         decade = int(rng.choice(decades, p=weights))
         age = decade * 10 + int(rng.integers(0, 10))
         diagnosis = EXTRACT_START + timedelta(days=int(rng.integers(0, DIAGNOSIS_SPAN_DAYS)))
         risky = rng.random() < config.p_latent_high_risk
-        observations = _make_observations(rng, config, pid, diagnosis, risky)
-        patient = PatientRecord(
-            patient_id=pid,
-            sex=sex,
-            age_at_diagnosis=age,
-            diagnosis_date=diagnosis,
-            death_date=None,
-            observations=tuple(observations),
+        counts.append(_draw_observations(rng, config, diagnosis.toordinal(), risky, columns))
+        rngs.append(rng)
+        demographics.append((f"P{i + 1:06d}", sex, age, diagnosis))
+
+    per_patient = Observations.from_columns(*columns).split(counts)
+    patients = [
+        PatientRecord(
+            patient_id=pid, sex=sex, age_at_diagnosis=age, diagnosis_date=diagnosis, death_date=None, observations=obs
         )
-        group = assign_group(patient, config.anchor_measure, DEFAULT_WINDOW)
-        if rng.random() < _death_probability(config, group, sex):
-            patient = replace(patient, death_date=diagnosis + timedelta(days=int(rng.integers(1, 731))))
-        patients.append(patient)
+        for (pid, sex, age, diagnosis), obs in zip(demographics, per_patient)
+    ]
+    anchor = history_groups(patients, DEFAULT_WINDOW)[:, MEASURE_CODE[config.anchor_measure]]
+    for i, (rng, patient, group) in enumerate(zip(rngs, patients, anchor.tolist())):
+        if rng.random() < _death_probability(config, Group(group), patient.sex):
+            death = patient.diagnosis_date + timedelta(days=int(rng.integers(1, 731)))
+            patients[i] = replace(patient, death_date=death)
     return Cohort(patients=tuple(patients), data_end_date=DATA_END_DATE)
 
 

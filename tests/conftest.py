@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from fbcsurv.cohort import (
+    MEASURE_CODE,
     Cohort,
     Measure,
     MEASURES,
-    PathologyObservation,
+    Observations,
     PatientRecord,
     ReferenceRange,
     Sex,
@@ -31,16 +32,14 @@ def make_patient(
     readings: list[tuple[Measure, float, int]] = (),
     range_: ReferenceRange = BASE_RANGE,
 ) -> PatientRecord:
-    """Patient with observations given as (measure, value, day offset) triples."""
-    observations = tuple(
-        PathologyObservation(
-            patient_id=pid,
-            measure=measure,
-            value=value,
-            date=diagnosis + timedelta(days=offset),
-            range=range_,
-        )
-        for measure, value, offset in readings
+    """Patient with observations given as (measure, value, day offset) triples, all on one range."""
+    day0 = diagnosis.toordinal()
+    observations = Observations.from_columns(
+        [MEASURE_CODE[measure] for measure, _, _ in readings],
+        [value for _, value, _ in readings],
+        [day0 + offset for _, _, offset in readings],
+        [range_.low] * len(readings),
+        [range_.high] * len(readings),
     )
     death = diagnosis + timedelta(days=death_offset) if death_offset is not None else None
     return PatientRecord(

@@ -234,6 +234,7 @@ def test_criterion_7_classifier_sanity():
     _report(7, "classifier sanity: separable, loss monotone, weights normalized")
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_determinism(tmp_path):
     start = time.perf_counter()
     cohort_dir = tmp_path / "cohort"

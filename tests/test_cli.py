@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+import fbcsurv.evaluation
 from fbcsurv.cli import main
 
 from conftest import write_csvs
@@ -133,6 +135,8 @@ def test_evaluate_command_and_reproducibility(cohort_dir, tmp_path, capsys):
     assert len(results) == 1 + 1 * 10 * 2 * 3
     config = json.loads((out1 / "config.json").read_text())
     assert config["hyperparameters"]["gbt_rounds"] == 10
+    assert config["seed"] == 5
+    assert "seed" not in config["hyperparameters"]
 
 
 def test_evaluate_empty_cohort_message(tmp_path, capsys):
@@ -159,6 +163,40 @@ def test_evaluate_rejects_non_positive_jobs(cohort_dir, tmp_path, capsys, jobs):
     assert code == 1
     assert f"error: --jobs must be >= 1, got {jobs}" in err
     assert not (tmp_path / "o").exists()
+
+
+def _die(task):
+    os._exit(3)
+
+
+def test_evaluate_reports_dead_worker(cohort_dir, tmp_path, capsys, monkeypatch):
+    # forked fold workers look the task function up by name, so they run _die
+    monkeypatch.setattr(fbcsurv.evaluation, "_fold_task", _die)
+    code, _, err = run(
+        capsys, "evaluate", "--in", str(cohort_dir), "--out", str(tmp_path / "o"), "--jobs", "2",
+        "--versions", "v1", "--k-min", "5", "--k-max", "5",
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "terminated abruptly" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("P3,1,2", "expected 4 fields, got 3"),
+        ("P3,2,1,1", "field 'target': must be 0 or 1, got '2'"),
+        ("P3,1,1,y", "field 'b': must be an integer, got 'y'"),
+    ],
+)
+def test_select_rejects_malformed_features(tmp_path, capsys, row, message):
+    features = tmp_path / "features.csv"
+    features.write_text(f"patient_id,target,a,b\nP1,0,1,2\nP2,1,2,1\n{row}\n")
+    code, _, err = run(capsys, "select", "--features", str(features), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.strip() == f"error: {features}:4: {message}"
+    assert not (tmp_path / "o" / "ranking.csv").exists()
 
 
 def test_missing_input_fails_cleanly(tmp_path, capsys):

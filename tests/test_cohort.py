@@ -3,6 +3,7 @@ from datetime import date
 import pytest
 
 from fbcsurv.cohort import (
+    MEASURE_CODE,
     CohortError,
     Measure,
     MEASURES,
@@ -26,7 +27,9 @@ def test_ingest_two_patient_fixture(two_patient_files):
     assert p1.patient_id == "P1"
     assert p1.death_date == date(2012, 9, 9)
     assert len(p1.observations) == 2
-    assert p1.observations[0].range.low == 150.0
+    assert p1.observations.ref_low[0] == 150.0
+    assert p1.observations.measure.tolist() == [MEASURE_CODE[Measure.PLATELETS], MEASURE_CODE[Measure.MCV]]
+    assert p1.observations.day.tolist() == [date(2012, 5, 20).toordinal()] * 2
 
 
 def test_ingest_rejects_inverted_range(tmp_path):
@@ -173,6 +176,7 @@ def test_retained_patients_have_full_panel():
     for patient in filtered.patients:
         assert len(patient.observations) >= 5
         assert all(patient.has_measure(m) for m in MEASURES)
+        assert patient.has_full_panel()
 
 
 def test_followup_only_filter_keeps_incomplete_panels():

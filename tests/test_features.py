@@ -13,7 +13,7 @@ from fbcsurv.features import (
     read_features_csv,
     write_features_csv,
 )
-from fbcsurv.labeling import VERSIONS, Version, label_cohort
+from fbcsurv.labeling import VERSIONS, CohortLabels, Version, label_cohort
 
 from conftest import full_panel_readings, make_cohort, make_patient
 
@@ -58,8 +58,8 @@ def test_extra_version_appends_prefixed_scheme_columns():
 def _matrix_for(base_labels: dict[Measure, int], sex: Sex = Sex.MALE, age: int = 65) -> FeatureMatrix:
     patient = make_patient("P1", sex=sex, age=age, readings=full_panel_readings())
     cohort = make_cohort([patient])
-    labels = {"P1": {m: {v: base_labels[m] for v in VERSIONS} for m in MEASURES}}
-    return build_matrix(cohort, labels, Version.V1)
+    values = np.array([[[base_labels[m]] * len(VERSIONS) for m in MEASURES]], dtype=np.int8)
+    return build_matrix(cohort, CohortLabels(("P1",), values), Version.V1)
 
 
 def test_sum_column_value():
@@ -138,7 +138,7 @@ def test_build_matrix_requires_labels_for_every_patient():
     patient = make_patient("P1", readings=full_panel_readings())
     cohort = make_cohort([patient])
     with pytest.raises(KeyError, match="P1"):
-        build_matrix(cohort, {}, Version.V1)
+        build_matrix(cohort, CohortLabels((), np.zeros((0, len(MEASURES), len(VERSIONS)))), Version.V1)
 
 
 def test_matrix_determinism_and_roundtrip(tmp_path):
@@ -169,3 +169,30 @@ def test_extra_version_matrix_values(tmp_path):
     j_combo = combo.column_index("xv5_lbl_RDW")
     j_plain = plain_v5.column_index("lbl_RDW")
     assert np.array_equal(combo.X[:, j_combo], plain_v5.X[:, j_plain])
+
+
+@pytest.mark.parametrize(
+    "row, fragment",
+    [
+        ("P2,1,3", ":3: expected 4 fields, got 3"),
+        ("P2,1,3,4,5", ":3: expected 4 fields, got 5"),
+        ("P2,1,3,x", ":3: field 'b': must be an integer, got 'x'"),
+        ("P2,1,2.5,4", ":3: field 'a': must be an integer, got '2.5'"),
+        ("P2,one,3,4", ":3: field 'target': must be an integer, got 'one'"),
+        ("P2,2,3,4", ":3: field 'target': must be 0 or 1, got '2'"),
+        ("P2,-1,3,4", ":3: field 'target': must be 0 or 1, got '-1'"),
+    ],
+)
+def test_read_features_csv_rejects_malformed_rows(tmp_path, row, fragment):
+    path = tmp_path / "features.csv"
+    path.write_text(f"patient_id,target,a,b\nP1,0,1,2\n{row}\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_features_csv(path)
+    assert str(excinfo.value) == f"{path}{fragment}"
+
+
+def test_read_features_csv_rejects_empty_file(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="expected header starting patient_id,target"):
+        read_features_csv(path)

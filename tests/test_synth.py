@@ -58,17 +58,16 @@ def test_observation_dates_never_exceed_data_end():
     cohort = generate(GeneratorConfig(n_patients=40, seed=16))
     assert cohort.data_end_date == DATA_END_DATE
     for patient in cohort.patients:
-        for obs in patient.observations:
-            assert obs.date <= cohort.data_end_date
+        assert patient.observations.day.max() <= cohort.data_end_date.toordinal()
 
 
 def test_observation_counts_within_configured_range():
     cfg = GeneratorConfig(n_patients=25, seed=17, obs_count_range=(2, 4))
     cohort = generate(cfg)
     for patient in cohort.patients:
-        for measure in Measure:
-            count = len(patient.observations_for(measure))
-            assert 2 <= count <= 4
+        counts = patient.observations.measure_counts()
+        assert len(counts) == len(Measure)
+        assert ((2 <= counts) & (counts <= 4)).all()
 
 
 def test_group_mortality_within_three_standard_errors():
