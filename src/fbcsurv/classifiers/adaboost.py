@@ -1,4 +1,4 @@
-"""Discrete AdaBoost (SAMME, two classes) over depth-1 decision stumps."""
+"""Discrete AdaBoost (SAMME, two classes) over decision stumps: depth-1 flat trees, or a single leaf."""
 
 from __future__ import annotations
 
@@ -8,77 +8,51 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .splits import BinnedMatrix, argbest
+from .tree import Tree, predict_trees
 
 _EPS = 1e-10
 
 
-@dataclass
-class Stump:
-    """Single-split weak learner; feature None means a constant prediction."""
+def best_stump(bm: BinnedMatrix, y: np.ndarray, w: np.ndarray) -> tuple[Tree, float, np.ndarray]:
+    """Minimum-weighted-error stump over the rows of bm; ties keep the lowest feature, then threshold.
 
-    feature: int | None
-    threshold: float | None
-    left_class: int
-    right_class: int
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.feature is None:
-            return np.full(len(X), self.left_class, dtype=np.int64)
-        mask = X[:, self.feature] <= self.threshold
-        return np.where(mask, self.left_class, self.right_class).astype(np.int64)
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left_class": self.left_class,
-            "right_class": self.right_class,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Stump":
-        return cls(d["feature"], d["threshold"], d["left_class"], d["right_class"])
-
-
-def _best_stump_binned(bm: BinnedMatrix, y: np.ndarray, w: np.ndarray) -> tuple[Stump, float]:
+    Returns the stump, its weighted error and its class for every row. The
+    constant majority stump, a single leaf, wins ties and covers data with no
+    usable split. A stump's root holds the weighted majority class too.
+    """
+    n = len(y)
     w1_total = float(w[y == 1].sum())
     w0_total = float(w.sum()) - w1_total
     majority = 1 if w1_total > w0_total else 0
-    constant = Stump(feature=None, threshold=None, left_class=majority, right_class=majority)
     constant_err = min(w0_total, w1_total)
     w1 = np.where(y == 1, w, 0.0)
-    counts, _, (lw1, lw), valid = bm.scan(np.arange(len(y)), (w1, w))
+    counts, left_n, (lw1, lw), valid = bm.scan(np.arange(n), (w1, w))
     best = argbest(np.minimum(lw - lw1, lw1) + np.minimum(w0_total - (lw - lw1), w1_total - lw1), valid, maximize=False)
-    if best is None:
-        return constant, constant_err
-    lw0_b = float(lw[best] - lw1[best])
-    lw1_b = float(lw1[best])
-    rw0_b = w0_total - lw0_b
-    rw1_b = w1_total - lw1_b
-    err = min(lw0_b, lw1_b) + min(rw0_b, rw1_b)
-    if err >= constant_err:
-        return constant, constant_err
-    feature, threshold = bm.split_at(best, counts)
-    stump = Stump(
-        feature=feature,
-        threshold=threshold,
-        left_class=1 if lw1_b > lw0_b else 0,
-        right_class=1 if rw1_b > rw0_b else 0,
-    )
-    return stump, err
-
-
-def best_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[Stump, float]:
-    """Minimum-weighted-error stump; ties keep the lowest feature, then threshold.
-
-    The constant majority stump wins ties and covers data with no usable split.
-    """
-    return _best_stump_binned(BinnedMatrix(np.asarray(X, dtype=np.int64)), y, w)
+    if best is not None:
+        lw0_b = float(lw[best] - lw1[best])
+        lw1_b = float(lw1[best])
+        rw0_b = w0_total - lw0_b
+        rw1_b = w1_total - lw1_b
+        err = min(lw0_b, lw1_b) + min(rw0_b, rw1_b)
+        if err < constant_err:
+            feature, threshold = bm.split_at(best, counts)
+            left_class, right_class = (1 if lw1_b > lw0_b else 0), (1 if rw1_b > rw0_b else 0)
+            stump = Tree.from_dict({
+                "feature": [feature, -1, -1],
+                "threshold": [threshold, 0.0, 0.0],
+                "left": [1, -1, -1],
+                "right": [2, -1, -1],
+                "value": [majority, left_class, right_class],
+                "n": [n, left_n[best], n - left_n[best]],
+            })
+            return stump, err, np.where(bm.flat_codes[:, feature] <= best, left_class, right_class)
+    constant = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [majority], "n": [n]}
+    return Tree.from_dict(constant), constant_err, np.full(n, majority)
 
 
 @dataclass
 class AdaBoostEnsemble:
-    stumps: list[Stump] = field(default_factory=list)
+    stumps: list[Tree] = field(default_factory=list)
     alphas: list[float] = field(default_factory=list)
     fallback_class: int = 0
     # per-round diagnostics, recorded during fit
@@ -87,8 +61,8 @@ class AdaBoostEnsemble:
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         scores = np.zeros(len(X), dtype=np.float64)
-        for stump, alpha in zip(self.stumps, self.alphas):
-            scores += alpha * (2.0 * stump.predict(X) - 1.0)
+        for classes, alpha in zip(predict_trees(self.stumps, X), self.alphas):
+            scores += alpha * (2.0 * classes - 1.0)
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -106,7 +80,7 @@ class AdaBoostEnsemble:
     @classmethod
     def from_dict(cls, d: dict) -> "AdaBoostEnsemble":
         return cls(
-            stumps=[Stump.from_dict(s) for s in d["stumps"]],
+            stumps=[Tree.from_dict(s) for s in d["stumps"]],
             alphas=list(d["alphas"]),
             fallback_class=d["fallback_class"],
         )
@@ -120,11 +94,11 @@ def fit_adaboost_ensemble(X: np.ndarray, y: np.ndarray, rounds: int) -> AdaBoost
     """
     n = len(y)
     ensemble = AdaBoostEnsemble(fallback_class=1 if int(y.sum()) * 2 > n else 0)
-    bm = BinnedMatrix(np.asarray(X, dtype=np.int64))
+    bm = BinnedMatrix(X)
     w = np.full(n, 1.0 / n, dtype=np.float64)
     for _ in range(rounds):
-        stump, _ = _best_stump_binned(bm, y, w)
-        miss = stump.predict(X) != y
+        stump, _, classes = best_stump(bm, y, w)
+        miss = classes != y
         err = float(w[miss].sum())
         if err >= 0.5:
             break

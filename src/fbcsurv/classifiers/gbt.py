@@ -1,10 +1,11 @@
 """Newton-style gradient boosting with logistic loss (the XGBoost-family stand-in).
 
-Each round fits a depth-limited regression tree to the per-row gradients and
-hessians of the logistic loss; leaf weights carry an L2 penalty. No row or
-column subsampling, so fits are fully deterministic. Models that train on
-prefixes of one binned matrix are boosted in lockstep, one tree level of every
-model at a time; each model comes out as if it had been boosted alone.
+Each round fits a depth-limited regression tree (a flat `Tree` whose leaf
+payload is the weight) to the per-row gradients and hessians of the logistic
+loss; leaf weights carry an L2 penalty. No row or column subsampling, so fits
+are fully deterministic. Models that train on prefixes of one binned matrix
+are boosted in lockstep, one tree level of every model at a time; each model
+comes out as if it had been boosted alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .splits import BinnedMatrix
-from .tree import NewtonGrower, TreeNode, node_from_dict, node_to_dict, predict_values
+from .tree import NewtonGrower, Tree, predict_trees
 
 _PRIOR_EPS = 1e-12
 
@@ -33,14 +34,14 @@ def _mean_logistic_loss(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
 class GbtEnsemble:
     init_score: float
     learning_rate: float
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[Tree] = field(default_factory=list)
     # mean training loss after 0, 1, ..., n rounds, recorded during fit
     train_losses: list[float] = field(default_factory=list)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         scores = np.full(len(X), self.init_score, dtype=np.float64)
-        for tree in self.trees:
-            scores += self.learning_rate * predict_values(tree, X)
+        for values in predict_trees(self.trees, X):
+            scores += self.learning_rate * values
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -51,7 +52,7 @@ class GbtEnsemble:
         return {
             "init_score": self.init_score,
             "learning_rate": self.learning_rate,
-            "trees": [node_to_dict(t) for t in self.trees],
+            "trees": [t.to_dict() for t in self.trees],
         }
 
     @classmethod
@@ -59,7 +60,7 @@ class GbtEnsemble:
         return cls(
             init_score=d["init_score"],
             learning_rate=d["learning_rate"],
-            trees=[node_from_dict(t) for t in d["trees"]],
+            trees=[Tree.from_dict(t) for t in d["trees"]],
         )
 
 
@@ -74,19 +75,19 @@ def fit_gbt_ensembles(
     y_f = y.astype(np.float64)
     prior = min(max(float(y_f.mean()), _PRIOR_EPS), 1.0 - _PRIOR_EPS)
     init = math.log(prior / (1.0 - prior))
-    ensembles = [GbtEnsemble(init_score=init, learning_rate=learning_rate) for _ in ks]
     grower = NewtonGrower(bm, ks, depth, l2)
     scores = np.full((len(ks), n), init, dtype=np.float64)
     row_values = np.empty((len(ks), n), dtype=np.float64)
-    for ensemble, loss in zip(ensembles, _mean_logistic_loss(scores, y_f).tolist()):
-        ensemble.train_losses.append(loss)
+    losses = [_mean_logistic_loss(scores, y_f)]
     for _ in range(rounds):
         p = _sigmoid(scores)
         g = p - y_f
         h = p * (1.0 - p)
-        trees = grower.grow(g, h, row_values)
+        grower.grow(g, h, row_values)
         scores = scores + learning_rate * row_values
-        for ensemble, tree, loss in zip(ensembles, trees, _mean_logistic_loss(scores, y_f).tolist()):
-            ensemble.trees.append(tree)
-            ensemble.train_losses.append(loss)
+        losses.append(_mean_logistic_loss(scores, y_f))
+    ensembles = [
+        GbtEnsemble(init, learning_rate, trees, model_losses)
+        for trees, model_losses in zip(grower.pop_trees(), np.transpose(losses).tolist())
+    ]
     return ensembles, scores

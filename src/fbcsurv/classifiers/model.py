@@ -1,9 +1,10 @@
-"""Common fit/predict contract over the three model families."""
+"""The one fit dispatch and predict contract over the three model families, and the saved-model JSON."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 from .adaboost import AdaBoostEnsemble, fit_adaboost_ensemble
 from .gbt import GbtEnsemble, fit_gbt_ensembles
 from .splits import BinnedMatrix
-from .tree import TreeNode, dump_tree, grow_classification_tree, node_from_dict, node_to_dict, predict_classes
+from .tree import Tree, grow_classification_tree
 
 
 class ModelFamily(Enum):
@@ -45,51 +46,30 @@ class Hyperparameters:
             raise ValueError("gbt_depth must be >= 1")
         if not (0.0 < self.gbt_learning_rate <= 1.0):
             raise ValueError("gbt_learning_rate must be in (0, 1]")
-        if self.gbt_l2 < 0.0:
-            raise ValueError("gbt_l2 must be >= 0")
+        if not (0.0 <= self.gbt_l2 < math.inf):
+            raise ValueError("gbt_l2 must be finite and >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "tree_max_depth": self.tree_max_depth,
-            "tree_min_leaf": self.tree_min_leaf,
-            "ada_rounds": self.ada_rounds,
-            "gbt_rounds": self.gbt_rounds,
-            "gbt_depth": self.gbt_depth,
-            "gbt_learning_rate": self.gbt_learning_rate,
-            "gbt_l2": self.gbt_l2,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparameters":
-        return cls(**d)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class TrainedModel:
     family: ModelFamily
     feature_names: tuple[str, ...]
-    model: TreeNode | AdaBoostEnsemble | GbtEnsemble
+    model: Tree | AdaBoostEnsemble | GbtEnsemble
 
     def to_dict(self) -> dict:
-        if self.family is ModelFamily.DECISION_TREE:
-            params = node_to_dict(self.model)
-        else:
-            params = self.model.to_dict()
         return {
             "family": self.family.value,
             "feature_names": list(self.feature_names),
-            "params": params,
+            "params": self.model.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedModel":
         family = ModelFamily(d["family"])
-        if family is ModelFamily.DECISION_TREE:
-            model = node_from_dict(d["params"])
-        elif family is ModelFamily.ADABOOST:
-            model = AdaBoostEnsemble.from_dict(d["params"])
-        else:
-            model = GbtEnsemble.from_dict(d["params"])
+        model = _MODEL_TYPES[family].from_dict(d["params"])
         return cls(family=family, feature_names=tuple(d["feature_names"]), model=model)
 
     def save(self, path: str | Path) -> None:
@@ -103,11 +83,24 @@ class TrainedModel:
             return cls.from_dict(json.load(fh))
 
 
-def _validate_training_input(X: np.ndarray, y: np.ndarray, feature_names: tuple[str, ...] | None):
-    X = np.asarray(X, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+_MODEL_TYPES = {ModelFamily.DECISION_TREE: Tree, ModelFamily.ADABOOST: AdaBoostEnsemble, ModelFamily.GBT: GbtEnsemble}
+
+
+def _int_matrix(X: np.ndarray) -> np.ndarray:
+    """X as a 2-D int64 array; a value the cast would change (fractional, NaN or infinite) is an error."""
+    raw = np.asarray(X)
+    with np.errstate(invalid="ignore"):
+        X = raw.astype(np.int64, copy=False)
+    if X is not raw and not np.array_equal(X, raw):
+        raise ValueError("X must hold integer values; got a fractional, NaN or infinite entry")
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
+    return X
+
+
+def _validate_training_input(X: np.ndarray, y: np.ndarray, feature_names: tuple[str, ...] | None):
+    X = _int_matrix(X)
+    y = np.asarray(y)
     if len(X) == 0:
         raise ValueError("empty input")
     if y.shape != (len(X),):
@@ -118,31 +111,7 @@ def _validate_training_input(X: np.ndarray, y: np.ndarray, feature_names: tuple[
         feature_names = tuple(f"f{j}" for j in range(X.shape[1]))
     elif len(feature_names) != X.shape[1]:
         raise ValueError("feature_names length must match X columns")
-    return X, y, tuple(feature_names)
-
-
-def fit_decision_tree(
-    X: np.ndarray, y: np.ndarray, hp: Hyperparameters, feature_names: tuple[str, ...] | None = None
-) -> TrainedModel:
-    X, y, names = _validate_training_input(X, y, feature_names)
-    root = grow_classification_tree(X, y, hp.tree_max_depth, hp.tree_min_leaf)
-    return TrainedModel(family=ModelFamily.DECISION_TREE, feature_names=names, model=root)
-
-
-def fit_adaboost(
-    X: np.ndarray, y: np.ndarray, hp: Hyperparameters, feature_names: tuple[str, ...] | None = None
-) -> TrainedModel:
-    X, y, names = _validate_training_input(X, y, feature_names)
-    ensemble = fit_adaboost_ensemble(X, y, hp.ada_rounds)
-    return TrainedModel(family=ModelFamily.ADABOOST, feature_names=names, model=ensemble)
-
-
-def fit_gbt(
-    X: np.ndarray, y: np.ndarray, hp: Hyperparameters, feature_names: tuple[str, ...] | None = None
-) -> TrainedModel:
-    X, y, names = _validate_training_input(X, y, feature_names)
-    models, _ = fit_gbt_group(BinnedMatrix(X), y, hp, (X.shape[1],), names)
-    return models[0]
+    return X, y.astype(np.int64), tuple(feature_names)
 
 
 def fit_gbt_group(
@@ -150,10 +119,11 @@ def fit_gbt_group(
 ) -> tuple[list[TrainedModel], np.ndarray]:
     """One GBT per k, boosted in lockstep; model i trains on the first ks[i] columns of binned.
 
-    Each model equals `fit_gbt` on those columns. Also returns the final
-    training scores, one row per model (score > 0 predicts class 1).
+    Each model equals `fit_model(ModelFamily.GBT, ...)` on those columns. Also
+    returns the final training scores, one row per model (score > 0 predicts
+    class 1).
     """
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if y.shape != (binned.n,) or not np.isin(y, (0, 1)).all():
         raise ValueError("y must hold one binary 0/1 target per row of the binned matrix")
     if len(feature_names) < max(ks):
@@ -175,19 +145,20 @@ def fit_model(
     hp: Hyperparameters,
     feature_names: tuple[str, ...] | None = None,
 ) -> TrainedModel:
-    fitter = {
-        ModelFamily.DECISION_TREE: fit_decision_tree,
-        ModelFamily.ADABOOST: fit_adaboost,
-        ModelFamily.GBT: fit_gbt,
-    }[family]
-    return fitter(X, y, hp, feature_names)
+    """Fit one model of `family` on integer features X and binary targets y."""
+    X, y, names = _validate_training_input(X, y, feature_names)
+    if family is ModelFamily.DECISION_TREE:
+        model = grow_classification_tree(X, y, hp.tree_max_depth, hp.tree_min_leaf)
+    elif family is ModelFamily.ADABOOST:
+        model = fit_adaboost_ensemble(X, y, hp.ada_rounds)
+    else:
+        model = fit_gbt_group(BinnedMatrix(X), y, hp, (X.shape[1],), names)[0][0].model
+    return TrainedModel(family=family, feature_names=names, model=model)
 
 
 def predict(model: TrainedModel, X: np.ndarray, columns: tuple[str, ...] | None = None) -> np.ndarray:
     """Deterministic class predictions; columns, when given, must match training exactly."""
-    X = np.asarray(X, dtype=np.int64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
+    X = _int_matrix(X)
     if columns is not None and tuple(columns) != model.feature_names:
         raise ValueError(
             f"column mismatch: model trained on {list(model.feature_names)}, got {list(columns)}"
@@ -196,14 +167,11 @@ def predict(model: TrainedModel, X: np.ndarray, columns: tuple[str, ...] | None 
         raise ValueError(
             f"column mismatch: model expects {len(model.feature_names)} columns, got {X.shape[1]}"
         )
-    if len(X) == 0:
-        return np.empty(0, dtype=np.int64)
-    if model.family is ModelFamily.DECISION_TREE:
-        return predict_classes(model.model, X)
-    return model.model.predict(X)
+    # a decision tree's leaf payload is its class
+    return model.model.predict(X).astype(np.int64, copy=False)
 
 
 def decision_tree_dump(model: TrainedModel) -> str:
     if model.family is not ModelFamily.DECISION_TREE:
         raise ValueError("tree dump is only defined for decision-tree models")
-    return dump_tree(model.model, model.feature_names)
+    return model.model.dump(model.feature_names)

@@ -67,10 +67,6 @@ class BinnedMatrix:
         nxt = flat_bin + 1 + int(np.argmax(counts[flat_bin + 1 : seg_end] > 0))
         return j, (self.bin_values[flat_bin] + self.bin_values[nxt]) / 2.0
 
-    def left_mask(self, idx: np.ndarray, feature: int, flat_bin: int) -> np.ndarray:
-        """Rows of idx going left for a split chosen at flat_bin (value <= threshold)."""
-        return self.flat_codes[idx, feature] <= flat_bin
-
 
 def argbest(scores: np.ndarray, valid: np.ndarray, maximize: bool = True) -> int | None:
     """Index of the best valid score; first occurrence wins ties. None if no valid cell."""

@@ -1,35 +1,112 @@
-"""Binary tree structure, CART growth on Gini impurity, and Newton regression trees.
+"""The flat array tree every model family shares, its CART and Newton growers, and its prediction walk.
 
 Ties during split search are broken deterministically: lowest feature index
-first, then lowest threshold. Growth and prediction are iterative so
-unbounded-depth trees cannot hit the interpreter recursion limit. Newton
-regression trees grow level by level, for a group of boosted models at once.
+first, then lowest threshold. Growth, prediction, serialisation and the dump
+are iterative, so unbounded-depth trees cannot hit the interpreter recursion
+limit. Newton regression trees grow level by level, for a group of boosted
+models at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .splits import BinnedMatrix, argbest
 
+# (tree, row) pairs a prediction walk holds at once, so its temporaries stay small
+_WALK_PAIRS = 1 << 14
+# per-node arrays and their dtypes; n1 and p are kept by CART trees only
+_ARRAYS = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "value": np.float64,
+    "n": np.int64,
+    "n1": np.int64,
+    "p": np.float64,
+}
 
-@dataclass(slots=True)
-class TreeNode:
-    n: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    klass: int | None = None  # classification leaf: predicted class
-    prob: float | None = None  # fraction of the predicted class in the leaf
-    n1: int = 0  # class-1 count at the node (classification only)
-    value: float | None = None  # regression leaf weight
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+@dataclass(eq=False, slots=True)
+class Tree:
+    """A binary tree as parallel per-node arrays; node 0 is the root.
+
+    An inner node sends a row to `left` when X[row, feature] <= threshold and
+    to `right` otherwise. A leaf has feature, left and right -1. `value` is
+    the leaf payload: the class (0.0 or 1.0) of a CART tree or an AdaBoost
+    stump, the weight of a Newton regression tree. `n` counts the training
+    rows that reached each node. A CART tree also keeps `n1`, the class-1
+    rows among them, and `p`, the share of the node's class.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
+    n1: np.ndarray | None = None
+    p: np.ndarray | None = None
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf payload of every row of X."""
+        return next(predict_trees([self], X))
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name).tolist() for name in _ARRAYS if getattr(self, name) is not None}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Tree":
+        """A tree from per-node lists, as `to_dict` writes them."""
+        return cls(**{name: np.asarray(values, dtype=_ARRAYS[name]) for name, values in d.items()})
+
+    def dump(self, feature_names: tuple[str, ...]) -> str:
+        """Human-readable indented dump of a classification tree: one line per leaf, two per split."""
+        lines: list[str] = []
+        stack = [(0, "")]  # (node, indent); node None is the "else" line of a split
+        while stack:
+            node, pad = stack.pop()
+            if node is None:
+                lines.append(f"{pad}else")
+            elif self.feature[node] < 0:
+                lines.append(f"{pad}leaf class={self.value[node]:.0f} p={self.p[node]:.4f} n={self.n[node]}")
+            else:
+                lines.append(f"{pad}if {feature_names[self.feature[node]]} <= {self.threshold[node]:g}")
+                stack += [(self.right[node], pad + "    "), (None, pad), (self.left[node], pad + "    ")]
+        return "\n".join(lines)
+
+
+def predict_trees(trees: list[Tree], X: np.ndarray) -> Iterator[np.ndarray]:
+    """Leaf payload of every row of X, yielded tree by tree.
+
+    Trees walk together, as one array tree with a root per tree, in chunks of
+    at most _WALK_PAIRS (tree, row) pairs: one vectorised step per level of a
+    chunk's deepest tree. A row at an inner node moves to the child that
+    X[row, feature] <= threshold selects, and a row at a leaf stays there.
+    """
+    step = max(1, _WALK_PAIRS // max(len(X), 1))
+    for chunk in (trees[i : i + step] for i in range(0, len(trees), step)):
+        sizes = [len(tree.feature) for tree in chunk]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature, threshold, left, right, value = (
+            np.concatenate([getattr(tree, name) for tree in chunk])
+            for name in ("feature", "threshold", "left", "right", "value")
+        )
+        inner = feature >= 0
+        nodes = np.arange(len(feature))
+        shift = np.repeat(roots, sizes)
+        # a leaf's feature -1 reads the last column, and both of its branches lead back to it
+        left = np.where(inner, left + shift, nodes)
+        right = np.where(inner, right + shift, nodes)
+        rows = np.arange(len(X))
+        at = np.repeat(roots, len(X)).reshape(len(chunk), len(X))
+        while inner[at].any():
+            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+        yield from value[at]
 
 
 def _gini_split(bm: BinnedMatrix, idx: np.ndarray, y_f: np.ndarray, min_leaf: int):
@@ -63,38 +140,33 @@ def _gini_split(bm: BinnedMatrix, idx: np.ndarray, y_f: np.ndarray, min_leaf: in
     return feature, threshold, best
 
 
-def _class_leaf(node: TreeNode) -> None:
-    n0 = node.n - node.n1
-    node.klass = 1 if node.n1 > n0 else 0  # ties predict class 0
-    node.prob = (node.n1 if node.klass == 1 else n0) / node.n
+def grow_classification_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None, min_leaf: int) -> Tree:
+    """CART tree on Gini impurity; nodes are numbered breadth first, in the order they are grown.
 
-
-def grow_classification_tree(
-    X: np.ndarray, y: np.ndarray, max_depth: int | None, min_leaf: int
-) -> TreeNode:
+    Every node's value is its majority class, ties predicting class 0.
+    """
     bm = BinnedMatrix(X)
     y_f = y.astype(np.float64)
-    root = TreeNode(n=len(y))
-    stack = [(root, np.arange(len(y)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        node.n = len(idx)
-        node.n1 = int(y[idx].sum())
-        pure = node.n1 in (0, node.n)
+    rows = [(np.arange(len(y)), 0)]  # (row indices, depth) per node
+    nodes = []  # (feature, threshold, left, right, n1) per node
+    for idx, depth in rows:  # rows grows as nodes split
+        n1 = int(y[idx].sum())
+        pure = n1 in (0, len(idx))
         depth_capped = max_depth is not None and depth >= max_depth
         split = None
-        if not pure and not depth_capped and node.n >= 2 * min_leaf:
+        if not pure and not depth_capped and len(idx) >= 2 * min_leaf:
             split = _gini_split(bm, idx, y_f[idx], min_leaf)
         if split is None:
-            _class_leaf(node)
+            nodes.append((-1, 0.0, -1, -1, n1))
             continue
-        node.feature, node.threshold, flat_bin = split
-        mask = bm.left_mask(idx, node.feature, flat_bin)
-        node.left = TreeNode(n=int(mask.sum()))
-        node.right = TreeNode(n=int((~mask).sum()))
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
-    return root
+        feature, threshold, flat_bin = split
+        mask = bm.flat_codes[idx, feature] <= flat_bin
+        nodes.append((feature, threshold, len(rows), len(rows) + 1, n1))
+        rows += [(idx[mask], depth + 1), (idx[~mask], depth + 1)]
+    feature, threshold, left, right, n1 = (np.array(column) for column in zip(*nodes))
+    n = np.array([len(idx) for idx, _ in rows])
+    klass = 2 * n1 > n
+    return Tree(feature, threshold, left, right, klass.astype(np.float64), n, n1, np.where(klass, n1, n - n1) / n)
 
 
 class NewtonGrower:
@@ -143,6 +215,10 @@ class NewtonGrower:
         # the root level's counts do not depend on the gradients
         self._fill_codes(np.arange(self.n_models * n), np.repeat(np.arange(self.n_models), n), self.n_models)
         self._root_counts = self._bin_sums(self.n_models)
+        # per level of every round grown, for every open node: tree (round * n_models +
+        # model), row count, feature and threshold (-1 and 0 at a leaf), leaf weight (0 at a split)
+        self._levels = []
+        self._rounds = 0
 
     def _fill_codes(self, order: np.ndarray, slot_of_pos: np.ndarray, n_slots: int) -> None:
         """Write each element's (slot, flat bin) code; rows already in leaves go to slot n_slots."""
@@ -166,11 +242,12 @@ class NewtonGrower:
         counts, left_counts = self._root_counts if depth == 0 else self._bin_sums(n_slots)
         return counts, left_counts, self._bin_sums(n_slots, self._wg)[1], self._bin_sums(n_slots, self._wh)[1]
 
-    def grow(self, g: np.ndarray, h: np.ndarray, row_values: np.ndarray) -> list[TreeNode]:
-        """One tree per model for (M, n) gradients and hessians.
+    def grow(self, g: np.ndarray, h: np.ndarray, row_values: np.ndarray) -> None:
+        """Grow one round: a tree per model for (M, n) gradients and hessians.
 
         Each training row's leaf weight is written into row_values (M, n), so
         boosting can update scores without a separate prediction pass.
+        `pop_trees` hands the trees over.
         """
         n_models, n = g.shape
         l2 = self.l2
@@ -181,13 +258,14 @@ class NewtonGrower:
         g = g.ravel()
         h = h.ravel()
         values = row_values.reshape(-1)
-        roots = [TreeNode(n=n) for _ in range(n_models)]
-        nodes = roots
         # (model, row) pairs of the open nodes, grouped by node and ascending within one
         order = np.arange(n_models * n)
         sizes = np.full(n_models, n, dtype=np.int64)
+        # the tree of each open node; open nodes stay grouped by tree, in model order
+        slot_tree = np.arange(n_models) + self._rounds * n_models
+        self._rounds += 1
         for depth in range(self.max_depth + 1):
-            n_slots = len(nodes)
+            n_slots = len(sizes)
             bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
             slot_of_pos = np.repeat(np.arange(n_slots), sizes)
             g_ord = g[order]
@@ -210,6 +288,10 @@ class NewtonGrower:
                 slots = np.arange(n_slots)
                 split = valid[slots, best] & ~(gain[slots, best] <= 0.0)
             is_leaf = ~split
+            feature = np.full(n_slots, -1)
+            threshold = np.zeros(n_slots)
+            value = np.zeros(n_slots)
+            self._levels.append((slot_tree, sizes, feature, threshold, value))
             if is_leaf.any():
                 denominators = totals[:, 1] + l2
                 if (denominators[is_leaf] == 0.0).any():
@@ -217,115 +299,52 @@ class NewtonGrower:
                 leaf_values = -totals[:, 0] / denominators
                 in_leaf = is_leaf[slot_of_pos]
                 values[order[in_leaf]] = leaf_values[slot_of_pos[in_leaf]]
-                for node, leaf, value in zip(nodes, is_leaf.tolist(), leaf_values.tolist()):
-                    if leaf:
-                        node.value = value
+                value[is_leaf] = leaf_values[is_leaf]
                 if not split.any():
                     break
                 order = order[~in_leaf]
-                nodes = [node for node, leaf in zip(nodes, is_leaf.tolist()) if not leaf]
             # split nodes: feature, midpoint threshold to the next occupied bin, child sizes
             flat_bin = best[split]
+            n_split = len(flat_bin)
             occupied = counts[split] > 0
             after = np.arange(self.n_bins) > flat_bin[:, np.newaxis]
             nxt = (occupied & after).argmax(axis=1)
             features = bm.col_of_bin[flat_bin]
-            thresholds = (bm.bin_values[flat_bin] + bm.bin_values[nxt]) / 2.0
-            n_left = left_counts[split][np.arange(len(nodes)), flat_bin]
+            feature[split] = features
+            threshold[split] = (bm.bin_values[flat_bin] + bm.bin_values[nxt]) / 2.0
+            n_left = left_counts[split][np.arange(n_split), flat_bin]
             parent_sizes = sizes[split]
             # stable partition of each node's pairs: left child first, then right
-            parent = np.repeat(np.arange(len(nodes)), parent_sizes)
+            parent = np.repeat(np.arange(n_split), parent_sizes)
             goes_left = bm.flat_codes[order % n, features[parent]] <= flat_bin[parent]
             child = 2 * parent + ~goes_left
-            order = order[np.argsort(child.astype(np.min_scalar_type(2 * len(nodes))), kind="stable")]
+            order = order[np.argsort(child.astype(np.min_scalar_type(2 * n_split)), kind="stable")]
             sizes = np.column_stack((n_left, parent_sizes - n_left)).ravel()
-            children = []
-            for node, feature, threshold, nl, nr in zip(
-                nodes, features.tolist(), thresholds.tolist(), sizes[0::2].tolist(), sizes[1::2].tolist()
-            ):
-                node.feature = feature
-                node.threshold = threshold
-                node.left = TreeNode(n=nl)
-                node.right = TreeNode(n=nr)
-                children += (node.left, node.right)
-            nodes = children
-        return roots
+            slot_tree = np.repeat(slot_tree[split], 2)
 
+    def pop_trees(self) -> list[list[Tree]]:
+        """The trees grown since the last call, per model one tree per round; the grower forgets them.
 
-def _apply(root: TreeNode, X: np.ndarray, out: np.ndarray, attr: str) -> None:
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = getattr(node, attr)
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-
-
-def predict_classes(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.int64)
-    _apply(root, X, out, "klass")
-    return out
-
-
-def predict_values(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    _apply(root, X, out, "value")
-    return out
-
-
-def dump_tree(root: TreeNode, feature_names: tuple[str, ...]) -> str:
-    """Human-readable indented dump of a classification tree."""
-    lines: list[str] = []
-
-    def walk(node: TreeNode, indent: int) -> None:
-        pad = " " * indent
-        if node.is_leaf:
-            lines.append(f"{pad}leaf class={node.klass} p={node.prob:.4f} n={node.n}")
-            return
-        lines.append(f"{pad}if {feature_names[node.feature]} <= {node.threshold:g}")
-        walk(node.left, indent + 4)
-        lines.append(f"{pad}else")
-        walk(node.right, indent + 4)
-
-    walk(root, 0)
-    return "\n".join(lines)
-
-
-def node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        d = {"n": node.n}
-        if node.value is not None:
-            d["value"] = node.value
-        else:
-            d["class"] = node.klass
-            d["p"] = node.prob
-            d["n1"] = node.n1
-        return d
-    return {
-        "n": node.n,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": node_to_dict(node.left),
-        "right": node_to_dict(node.right),
-    }
-
-
-def node_from_dict(d: dict) -> TreeNode:
-    if "feature" not in d:
-        return TreeNode(
-            n=d["n"],
-            klass=d.get("class"),
-            prob=d.get("p"),
-            n1=d.get("n1", 0),
-            value=d.get("value"),
-        )
-    return TreeNode(
-        n=d["n"],
-        feature=d["feature"],
-        threshold=d["threshold"],
-        left=node_from_dict(d["left"]),
-        right=node_from_dict(d["right"]),
-    )
+        A tree's nodes are numbered breadth first, so its k-th split node
+        (from 0) has children 2k + 1 and 2k + 2.
+        """
+        if not self._rounds:
+            return [[] for _ in range(self.n_models)]
+        tree_of, n_rows, feature, threshold, value = (np.concatenate(column) for column in zip(*self._levels))
+        self._levels, self._rounds = [], 0
+        # each tree's nodes, level after level
+        by_tree = np.argsort(tree_of, kind="stable")
+        n_rows, feature, threshold, value = (a[by_tree] for a in (n_rows, feature, threshold, value))
+        split = feature >= 0
+        per_tree = np.bincount(tree_of)
+        starts = np.concatenate(([0], np.cumsum(per_tree)))
+        splits_before = np.concatenate(([0], np.cumsum(split)))
+        k = splits_before[:-1] - np.repeat(splits_before[starts[:-1]], per_tree)
+        left = np.where(split, 2 * k + 1, -1)
+        right = np.where(split, 2 * k + 2, -1)
+        starts = starts.tolist()
+        trees = [
+            Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b], n_rows[a:b])
+            for a, b in zip(starts, starts[1:])
+        ]
+        return [trees[m :: self.n_models] for m in range(self.n_models)]

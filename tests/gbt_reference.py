@@ -2,21 +2,37 @@
 
 This is the depth-first implementation the package used before trees were
 grown level by level: one `BinnedMatrix.scan` per node, node totals from
-`ndarray.sum()` over the node's rows. Tests require the package's grower to
-reproduce its trees, leaf values, training losses and scores bit for bit.
+`ndarray.sum()` over the node's rows. It grows linked `Node` trees. Tests
+require the package's grower to reproduce its trees, leaf values, training
+losses and scores bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from fbcsurv.classifiers.gbt import GbtEnsemble
 from fbcsurv.classifiers.splits import BinnedMatrix, argbest
-from fbcsurv.classifiers.tree import TreeNode
+
+from tree_reference import Node, apply
 
 _PRIOR_EPS = 1e-12
+
+
+@dataclass
+class ReferenceGbt:
+    init_score: float
+    learning_rate: float
+    trees: list[Node] = field(default_factory=list)
+    train_losses: list[float] = field(default_factory=list)
+
+    def decision_scores(self, X: np.ndarray) -> np.ndarray:
+        scores = np.full(len(X), self.init_score, dtype=np.float64)
+        for tree in self.trees:
+            scores += self.learning_rate * apply(tree, X)
+        return scores
 
 
 def newton_split(bm: BinnedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndarray, l2: float):
@@ -43,9 +59,9 @@ def grow_regression_tree(
     max_depth: int,
     l2: float,
     row_values: np.ndarray,
-) -> TreeNode:
+) -> Node:
     """Depth-first Newton regression tree; writes each row's leaf weight into row_values."""
-    root = TreeNode(n=len(g))
+    root = Node(n=len(g))
     stack = [(root, np.arange(len(g)), 0)]
     while stack:
         node, idx, depth = stack.pop()
@@ -58,9 +74,9 @@ def grow_regression_tree(
             row_values[idx] = node.value
             continue
         node.feature, node.threshold, flat_bin = split
-        mask = bm.left_mask(idx, node.feature, flat_bin)
-        node.left = TreeNode(n=int(mask.sum()))
-        node.right = TreeNode(n=int((~mask).sum()))
+        mask = bm.flat_codes[idx, node.feature] <= flat_bin
+        node.left = Node(n=int(mask.sum()))
+        node.right = Node(n=int((~mask).sum()))
         stack.append((node.right, idx[~mask], depth + 1))
         stack.append((node.left, idx[mask], depth + 1))
     return root
@@ -68,13 +84,13 @@ def grow_regression_tree(
 
 def fit_gbt_reference(
     X: np.ndarray, y: np.ndarray, rounds: int, depth: int, learning_rate: float, l2: float
-) -> tuple[GbtEnsemble, np.ndarray]:
+) -> tuple[ReferenceGbt, np.ndarray]:
     """One model boosted alone; returns the ensemble and its final training scores."""
     n = len(y)
     y_f = y.astype(np.float64)
     prior = min(max(float(y_f.mean()), _PRIOR_EPS), 1.0 - _PRIOR_EPS)
     init = math.log(prior / (1.0 - prior))
-    ensemble = GbtEnsemble(init_score=init, learning_rate=learning_rate)
+    ensemble = ReferenceGbt(init_score=init, learning_rate=learning_rate)
     bm = BinnedMatrix(np.asarray(X, dtype=np.int64))
     scores = np.full(n, init, dtype=np.float64)
     ensemble.train_losses.append(float(np.mean(np.logaddexp(0.0, scores) - y_f * scores)))

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fbcsurv.classifiers import Hyperparameters, fit_adaboost, fit_decision_tree, fit_gbt, predict
+from fbcsurv.classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_model, predict
 from fbcsurv.cohort import MEASURES, Measure, ReferenceRange, apply_followup_filter, apply_inclusion_filters
 from fbcsurv.evaluation import cohort_stats, feature_consistency, group_gap, run_sweep
 from fbcsurv.labeling import Group, LABEL_MAX, VERSIONS, Version, assign_group, label_version
@@ -215,17 +215,17 @@ def test_criterion_7_classifier_sanity():
     X = np.array([[1], [1], [1], [3], [3], [3]])
     y = np.array([0, 0, 0, 1, 1, 1])
     hp = Hyperparameters(tree_min_leaf=1)
-    for fit in (fit_decision_tree, fit_adaboost, fit_gbt):
-        model = fit(X, y, hp)
-        assert np.array_equal(predict(model, X), y), fit.__name__
+    for family in MODEL_FAMILIES:
+        model = fit_model(family, X, y, hp)
+        assert np.array_equal(predict(model, X), y), family.value
 
     rng = np.random.default_rng(700)
     Xr = rng.integers(0, 4, size=(120, 8))
     yr = rng.integers(0, 2, size=120)
-    gbt = fit_gbt(Xr, yr, Hyperparameters()).model
+    gbt = fit_model(ModelFamily.GBT, Xr, yr, Hyperparameters()).model
     for before, after in zip(gbt.train_losses, gbt.train_losses[1:]):
         assert after <= before + 1e-12
-    ada = fit_adaboost(Xr, yr, Hyperparameters()).model
+    ada = fit_model(ModelFamily.ADABOOST, Xr, yr, Hyperparameters()).model
     assert len(ada.weight_sums) >= 1
     for weight_sum in ada.weight_sums:
         assert abs(weight_sum - 1.0) <= 1e-12

@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from fbcsurv.classifiers import (
+    MODEL_FAMILIES,
     Hyperparameters,
     ModelFamily,
     TrainedModel,
-    best_stump,
     decision_tree_dump,
-    fit_adaboost,
-    fit_decision_tree,
-    fit_gbt,
+    fit_model,
     predict,
 )
+from fbcsurv.classifiers.adaboost import best_stump
 from fbcsurv.classifiers.splits import BinnedMatrix
 from fbcsurv.classifiers.tree import NewtonGrower
 
 HP = Hyperparameters()
+DT, ADA, GBT = ModelFamily.DECISION_TREE, ModelFamily.ADABOOST, ModelFamily.GBT
+# one parameter per family; the ids keep the test names of the per-family fit functions they replace
+FAMILIES = [pytest.param(family, id=f"fit_{family.value}") for family in MODEL_FAMILIES]
 
 
 def _separable_1d():
@@ -35,19 +37,19 @@ def _separable_1d():
 def test_tree_constant_target_is_single_leaf():
     X = np.array([[1], [2], [3]])
     y = np.array([1, 1, 1])
-    model = fit_decision_tree(X, y, HP)
-    assert model.model.is_leaf
-    assert model.model.klass == 1
+    model = fit_model(DT, X, y, HP)
+    assert model.model.feature.tolist() == [-1]
+    assert model.model.value.tolist() == [1.0]
     assert predict(model, X).tolist() == [1, 1, 1]
 
 
 def test_tree_separable_1d_is_depth_one():
     X, y = _separable_1d()
-    model = fit_decision_tree(X, y, Hyperparameters(tree_min_leaf=1))
-    root = model.model
-    assert not root.is_leaf
-    assert root.left.is_leaf and root.right.is_leaf
-    assert root.threshold == 2.0
+    model = fit_model(DT, X, y, Hyperparameters(tree_min_leaf=1))
+    tree = model.model
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert (tree.left[0], tree.right[0]) == (1, 2)
+    assert tree.threshold[0] == 2.0
     assert np.array_equal(predict(model, X), y)
 
 
@@ -91,11 +93,11 @@ def test_root_split_gain_matches_brute_force_on_random_data():
         brute = _brute_force_best_gain(X, y, min_leaf=1)
         if brute is None:
             continue
-        model = fit_decision_tree(X, y, Hyperparameters(tree_max_depth=1, tree_min_leaf=1))
-        root = model.model
-        if root.is_leaf:  # no candidate split existed
+        model = fit_model(DT, X, y, Hyperparameters(tree_max_depth=1, tree_min_leaf=1))
+        tree = model.model
+        if tree.feature[0] < 0:  # no candidate split existed
             continue
-        mask = X[:, root.feature] <= root.threshold
+        mask = X[:, tree.feature[0]] <= tree.threshold[0]
         chosen_gain = (
             _gini(y.tolist())
             - mask.sum() / n * _gini(y[mask].tolist())
@@ -110,14 +112,14 @@ def test_tree_memorizes_distinct_rows():
     rng = np.random.default_rng(8)
     X = rng.permutation(np.arange(40)).reshape(20, 2)
     y = rng.integers(0, 2, size=20)
-    model = fit_decision_tree(X, y, Hyperparameters(tree_max_depth=None, tree_min_leaf=1))
+    model = fit_model(DT, X, y, Hyperparameters(tree_max_depth=None, tree_min_leaf=1))
     assert np.array_equal(predict(model, X), y)
 
 
 def test_tree_memorizes_xor():
     X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
     y = np.array([0, 1, 1, 0])
-    model = fit_decision_tree(X, y, Hyperparameters(tree_max_depth=None, tree_min_leaf=1))
+    model = fit_model(DT, X, y, Hyperparameters(tree_max_depth=None, tree_min_leaf=1))
     assert np.array_equal(predict(model, X), y)
 
 
@@ -125,17 +127,17 @@ def test_tree_respects_min_leaf_and_depth():
     rng = np.random.default_rng(4)
     X = rng.integers(0, 6, size=(80, 5))
     y = rng.integers(0, 2, size=80)
-    model = fit_decision_tree(X, y, Hyperparameters(tree_max_depth=3, tree_min_leaf=7))
+    tree = fit_model(DT, X, y, Hyperparameters(tree_max_depth=3, tree_min_leaf=7)).model
     depths = []
-    stack = [(model.model, 0)]
+    stack = [(0, 0)]
     while stack:
         node, depth = stack.pop()
-        if node.is_leaf:
-            assert node.n >= 7
+        if tree.feature[node] < 0:
+            assert tree.n[node] >= 7
             depths.append(depth)
         else:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
+            stack.append((tree.left[node], depth + 1))
+            stack.append((tree.right[node], depth + 1))
     assert max(depths) <= 3
 
 
@@ -145,14 +147,14 @@ def test_tree_monotone_relabel_invariance():
     y = rng.integers(0, 2, size=60)
     mapped = X**3  # strictly increasing on non-negative ints
     hp = Hyperparameters(tree_min_leaf=2)
-    base = fit_decision_tree(X, y, hp)
-    remapped = fit_decision_tree(mapped, y, hp)
+    base = fit_model(DT, X, y, hp)
+    remapped = fit_model(DT, mapped, y, hp)
     assert np.array_equal(predict(base, X), predict(remapped, mapped))
 
 
 def test_tree_dump_format():
     X, y = _separable_1d()
-    model = fit_decision_tree(X, y, Hyperparameters(tree_min_leaf=1), feature_names=("lbl_MCV",))
+    model = fit_model(DT, X, y, Hyperparameters(tree_min_leaf=1), feature_names=("lbl_MCV",))
     dump = decision_tree_dump(model)
     lines = dump.splitlines()
     assert lines[0] == "if lbl_MCV <= 2"
@@ -164,7 +166,7 @@ def test_tree_dump_format():
 def test_dump_rejects_non_tree():
     X, y = _separable_1d()
     with pytest.raises(ValueError):
-        decision_tree_dump(fit_adaboost(X, y, HP))
+        decision_tree_dump(fit_model(ADA, X, y, HP))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def test_dump_rejects_non_tree():
 
 def test_adaboost_separable_stops_after_one_round():
     X, y = _separable_1d()
-    model = fit_adaboost(X, y, HP)
+    model = fit_model(ADA, X, y, HP)
     ens = model.model
     assert len(ens.stumps) == 1
     assert ens.weighted_errors == [0.0]
@@ -185,10 +187,10 @@ def test_adaboost_first_stump_is_plain_best_stump():
     rng = np.random.default_rng(17)
     X = rng.integers(0, 5, size=(50, 4))
     y = rng.integers(0, 2, size=50)
-    model = fit_adaboost(X, y, HP)
+    model = fit_model(ADA, X, y, HP)
     uniform = np.full(50, 1.0 / 50)
-    plain, err = best_stump(X, y, uniform)
-    assert model.model.stumps[0] == plain
+    plain, err, _ = best_stump(BinnedMatrix(X), y, uniform)
+    assert model.model.stumps[0].to_dict() == plain.to_dict()
     assert model.model.weighted_errors[0] == pytest.approx(err, abs=1e-12)
 
 
@@ -196,7 +198,7 @@ def test_adaboost_weights_sum_to_one_every_round():
     rng = np.random.default_rng(23)
     X = rng.integers(0, 4, size=(100, 6))
     y = rng.integers(0, 2, size=100)
-    model = fit_adaboost(X, y, HP)
+    model = fit_model(ADA, X, y, HP)
     assert len(model.model.weight_sums) >= 1
     for s in model.model.weight_sums:
         assert abs(s - 1.0) <= 1e-12
@@ -209,7 +211,7 @@ def test_adaboost_exponential_loss_bound():
         y = rng.integers(0, 2, size=60)
         if y.sum() in (0, 60):
             continue
-        ens = fit_adaboost(X, y, HP).model
+        ens = fit_model(ADA, X, y, HP).model
         bound = 1.0
         previous = math.inf
         for err in ens.weighted_errors:
@@ -224,7 +226,7 @@ def test_adaboost_stops_on_uninformative_data():
     # identical rows, balanced classes: best stump error is exactly 0.5
     X = np.ones((10, 2), dtype=int)
     y = np.array([0, 1] * 5)
-    ens = fit_adaboost(X, y, HP).model
+    ens = fit_model(ADA, X, y, HP).model
     assert ens.stumps == []
     assert predict(TrainedModel(ModelFamily.ADABOOST, ("f0", "f1"), ens), X).tolist() == [0] * 10
 
@@ -237,9 +239,9 @@ def test_adaboost_stops_on_uninformative_data():
 def test_gbt_zero_rounds_predicts_prior_class():
     X = np.array([[1], [2], [3], [4]])
     hp = Hyperparameters(gbt_rounds=0)
-    mostly_one = fit_gbt(X, np.array([1, 1, 1, 0]), hp)
+    mostly_one = fit_model(GBT, X, np.array([1, 1, 1, 0]), hp)
     assert predict(mostly_one, X).tolist() == [1, 1, 1, 1]
-    mostly_zero = fit_gbt(X, np.array([0, 0, 0, 1]), hp)
+    mostly_zero = fit_model(GBT, X, np.array([0, 0, 0, 1]), hp)
     assert predict(mostly_zero, X).tolist() == [0, 0, 0, 0]
 
 
@@ -249,9 +251,11 @@ def test_gbt_leaf_value_formula():
     g = np.array([[1.0, 1.0]])
     h = np.array([[1.0, 1.0]])
     out = np.empty((1, 2))
-    (root,) = NewtonGrower(bm, (1,), max_depth=3, l2=1.0).grow(g, h, out)
-    assert root.is_leaf
-    assert root.value == pytest.approx(-2.0 / 3.0, abs=0)
+    grower = NewtonGrower(bm, (1,), max_depth=3, l2=1.0)
+    grower.grow(g, h, out)
+    ((tree,),) = grower.pop_trees()
+    assert tree.feature.tolist() == [-1]
+    assert tree.value[0] == pytest.approx(-2.0 / 3.0, abs=0)
 
 
 def test_gbt_training_loss_non_increasing():
@@ -261,7 +265,7 @@ def test_gbt_training_loss_non_increasing():
         y = rng.integers(0, 2, size=80)
         if y.sum() in (0, 80):
             continue
-        ens = fit_gbt(X, y, HP).model
+        ens = fit_model(GBT, X, y, HP).model
         losses = ens.train_losses
         assert len(losses) == HP.gbt_rounds + 1
         for before, after in zip(losses, losses[1:]):
@@ -270,7 +274,7 @@ def test_gbt_training_loss_non_increasing():
 
 def test_gbt_separable_reaches_perfect_training_accuracy():
     X, y = _separable_1d()
-    model = fit_gbt(X, y, HP)
+    model = fit_model(GBT, X, y, HP)
     assert np.array_equal(predict(model, X), y)
 
 
@@ -279,16 +283,11 @@ def test_gbt_tiny_learning_rate_stays_near_prior():
     X = rng.integers(0, 4, size=(50, 3))
     y = rng.integers(0, 2, size=50)
     lr = 1e-6
-    ens = fit_gbt(X, y, Hyperparameters(gbt_rounds=1, gbt_learning_rate=lr)).model
-    max_leaf = max(abs(v) for v in _leaf_values(ens.trees[0]))
+    ens = fit_model(GBT, X, y, Hyperparameters(gbt_rounds=1, gbt_learning_rate=lr)).model
+    tree = ens.trees[0]
+    max_leaf = np.abs(tree.value[tree.feature < 0]).max()
     scores = ens.decision_scores(X)
     assert np.all(np.abs(scores - ens.init_score) <= lr * max_leaf + 1e-15)
-
-
-def _leaf_values(node):
-    if node.is_leaf:
-        return [node.value]
-    return _leaf_values(node.left) + _leaf_values(node.right)
 
 
 # ---------------------------------------------------------------------------
@@ -296,44 +295,89 @@ def _leaf_values(node):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fit", [fit_decision_tree, fit_adaboost, fit_gbt])
-def test_empty_input_rejected(fit):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_empty_input_rejected(family):
     with pytest.raises(ValueError, match="empty input"):
-        fit(np.empty((0, 3), dtype=int), np.empty(0, dtype=int), HP)
+        fit_model(family, np.empty((0, 3), dtype=int), np.empty(0, dtype=int), HP)
 
 
-@pytest.mark.parametrize("fit", [fit_decision_tree, fit_adaboost, fit_gbt])
-def test_predict_contract(fit):
+@pytest.mark.parametrize("bad", [2.7, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_non_integer_input_rejected(family, bad):
+    X, y = _separable_1d()
+    model = fit_model(family, X, y, Hyperparameters(tree_min_leaf=1))
+    with pytest.raises(ValueError, match="integer values"):
+        fit_model(family, np.where(X == 3, bad, X), y, HP)
+    with pytest.raises(ValueError, match="binary"):
+        fit_model(family, X, np.where(y == 1, bad, y), HP)
+    # the tree splits at 2.0: a truncating cast would send 2.7 left
+    with pytest.raises(ValueError, match="integer values"):
+        predict(model, np.array([[bad]]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_predict_contract(family):
     rng = np.random.default_rng(41)
     X = rng.integers(0, 4, size=(40, 3))
     y = rng.integers(0, 2, size=40)
-    model = fit(X, y, HP, feature_names=("a", "b", "c"))
+    model = fit_model(family, X, y, HP, feature_names=("a", "b", "c"))
     first = predict(model, X, columns=("a", "b", "c"))
     second = predict(model, X)
     assert np.array_equal(first, second)
     assert set(first.tolist()) <= {0, 1}
     assert predict(model, np.empty((0, 3), dtype=int)).tolist() == []
+    # integer-valued floats are integers
+    assert np.array_equal(predict(model, X.astype(float)), first)
+    assert fit_model(family, X.astype(float), y, HP, feature_names=("a", "b", "c")).to_dict() == model.to_dict()
     with pytest.raises(ValueError, match="column mismatch"):
         predict(model, X, columns=("a", "c", "b"))
     with pytest.raises(ValueError, match="column mismatch"):
         predict(model, X[:, :2])
 
 
-@pytest.mark.parametrize("fit", [fit_decision_tree, fit_adaboost, fit_gbt])
-def test_fit_determinism_and_json_roundtrip(fit, tmp_path):
+# per family, a fit whose model is as small as it gets: a single leaf, zero stumps, zero rounds
+SMALLEST_FITS = {
+    DT: (np.array([[1], [2], [3]]), np.array([1, 1, 1]), HP),
+    ADA: (np.ones((10, 2), dtype=int), np.array([0, 1] * 5), HP),
+    GBT: (np.array([[1], [2], [3]]), np.array([0, 1, 1]), Hyperparameters(gbt_rounds=0)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_determinism_and_json_roundtrip(family, tmp_path):
     rng = np.random.default_rng(43)
     X = rng.integers(0, 5, size=(60, 5))
     y = rng.integers(0, 2, size=60)
-    m1 = fit(X, y, HP)
-    m2 = fit(X, y, HP)
-    s1 = json.dumps(m1.to_dict(), sort_keys=True)
-    s2 = json.dumps(m2.to_dict(), sort_keys=True)
-    assert s1 == s2
-    path = tmp_path / "model.json"
-    m1.save(path)
-    loaded = TrainedModel.load(path)
-    assert json.dumps(loaded.to_dict(), sort_keys=True) == s1
-    assert np.array_equal(predict(loaded, X), predict(m1, X))
+    for X, y, hp in ((X, y, HP), SMALLEST_FITS[family]):
+        m1 = fit_model(family, X, y, hp)
+        m2 = fit_model(family, X, y, hp)
+        s1 = json.dumps(m1.to_dict(), sort_keys=True)
+        s2 = json.dumps(m2.to_dict(), sort_keys=True)
+        assert s1 == s2
+        path = tmp_path / "model.json"
+        m1.save(path)
+        loaded = TrainedModel.load(path)
+        assert json.dumps(loaded.to_dict(), sort_keys=True) == s1
+        assert np.array_equal(predict(loaded, X), predict(m1, X))
+
+
+def test_unbounded_tree_deeper_than_the_recursion_limit_saves_and_dumps(tmp_path):
+    # every split peels off one row: a chain of 1,199 splits
+    X = np.arange(1200).reshape(-1, 1)
+    y = X[:, 0] % 2
+    model = fit_model(DT, X, y, Hyperparameters(tree_max_depth=None, tree_min_leaf=1))
+    tree = model.model
+    n_inner = int((tree.feature >= 0).sum())
+    assert (len(tree.feature), n_inner) == (2399, 1199)
+    model.save(tmp_path / "deep.json")
+    loaded = TrainedModel.load(tmp_path / "deep.json")
+    assert loaded.to_dict() == model.to_dict()
+    assert np.array_equal(predict(loaded, X), y)
+    lines = decision_tree_dump(loaded).splitlines()
+    # a line per node, and an else line per split
+    assert len(lines) == len(tree.feature) + n_inner
+    assert sum(line.lstrip().startswith("leaf class=") for line in lines) == len(tree.feature) - n_inner
+    assert max(len(line) - len(line.lstrip()) for line in lines) == 4 * 1199
 
 
 def test_hyperparameter_validation():
@@ -347,4 +391,7 @@ def test_hyperparameter_validation():
         Hyperparameters(tree_max_depth=0)
     with pytest.raises(ValueError):
         Hyperparameters(ada_rounds=-1)
+    for l2 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gbt_l2"):
+            Hyperparameters(gbt_l2=l2)
     assert Hyperparameters(tree_max_depth=None).tree_max_depth is None

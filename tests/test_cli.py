@@ -223,3 +223,9 @@ def test_inputs_not_mutated(cohort_dir, tmp_path):
     main(["label", "--in", str(cohort_dir), "--out", str(tmp_path / "l2")])
     after = {p.name: p.read_bytes() for p in cohort_dir.iterdir()}
     assert before == after
+
+
+def test_evaluate_rejects_nan_gbt_l2(cohort_dir, tmp_path, capsys):
+    code, _, err = run(capsys, "evaluate", "--in", str(cohort_dir), "--out", str(tmp_path / "o"), "--gbt-l2", "nan")
+    assert code == 1
+    assert err.startswith("error: gbt_l2 must be finite")

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fbcsurv.classifiers import Hyperparameters, fit_gbt, fit_gbt_group
+from fbcsurv.classifiers import Hyperparameters, ModelFamily, fit_gbt_group, fit_model
 from fbcsurv.classifiers.splits import BinnedMatrix
-from fbcsurv.classifiers.tree import NewtonGrower, node_to_dict
+from fbcsurv.classifiers.tree import NewtonGrower
 from fbcsurv.evaluation import GBT_GROUP_ELEMENTS, _lockstep_groups
 
 from gbt_reference import fit_gbt_reference, grow_regression_tree
+from tree_reference import nodes_from_tree
 
 
 @st.composite
@@ -30,14 +31,16 @@ def integer_matrices(draw, max_rows=40, max_cols=6):
     return np.array(columns, dtype=np.int64).T.reshape(n, d)
 
 
+def grow_round(grower, g, h, row_values):
+    """One round's trees, one per model."""
+    grower.grow(g, h, row_values)
+    return [trees[0] for trees in grower.pop_trees()]
+
+
 @st.composite
 def prefix_groups(draw, d):
     """A non-empty ascending set of column-prefix lengths; often a group of one."""
     return tuple(sorted(draw(st.sets(st.integers(1, d), min_size=1, max_size=min(d, 4)))))
-
-
-def _tree_json(tree) -> str:
-    return json.dumps(node_to_dict(tree), sort_keys=True)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -63,11 +66,13 @@ def test_lockstep_boosting_matches_per_node_reference(data):
         reference, reference_scores = fit_gbt_reference(
             X[:, :k], y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2
         )
-        assert json.dumps(model.model.to_dict(), sort_keys=True) == json.dumps(reference.to_dict(), sort_keys=True)
+        # every node's feature, threshold, row count and leaf value
+        assert [nodes_from_tree(tree) for tree in model.model.trees] == reference.trees
+        assert (model.model.init_score, model.model.learning_rate) == (reference.init_score, reference.learning_rate)
         assert model.model.train_losses == reference.train_losses
         assert np.array_equal(scores, reference_scores)
         assert np.array_equal(model.model.decision_scores(X[:, :k]), reference.decision_scores(X[:, :k]))
-        alone = fit_gbt(X[:, :k], y, hp, names[:k])
+        alone = fit_model(ModelFamily.GBT, X[:, :k], y, hp, names[:k])
         assert json.dumps(alone.to_dict(), sort_keys=True) == json.dumps(model.to_dict(), sort_keys=True)
 
 
@@ -85,11 +90,11 @@ def test_lockstep_trees_match_reference_for_arbitrary_gradients(data):
     g = g.reshape(len(ks), n)
     h = h.reshape(len(ks), n)
     row_values = np.empty((len(ks), n))
-    trees = NewtonGrower(BinnedMatrix(X), ks, depth, l2).grow(g, h, row_values)
+    trees = grow_round(NewtonGrower(BinnedMatrix(X), ks, depth, l2), g, h, row_values)
     for m, k in enumerate(ks):
         expected_values = np.empty(n)
         expected = grow_regression_tree(BinnedMatrix(X[:, :k]), g[m], h[m], depth, l2, expected_values)
-        assert _tree_json(trees[m]) == _tree_json(expected)
+        assert nodes_from_tree(trees[m]) == expected
         assert np.array_equal(row_values[m], expected_values)
 
 
@@ -113,12 +118,12 @@ def test_single_row_and_constant_columns_make_single_leaves():
     X = np.array([[4, 7]])
     for ks in [(1,), (2,), (1, 2)]:
         row_values = np.empty((len(ks), 1))
-        trees = NewtonGrower(BinnedMatrix(X), ks, 3, 1.0).grow(np.full((len(ks), 1), 0.5), np.full((len(ks), 1), 0.25), row_values)
-        assert all(tree.is_leaf and tree.n == 1 for tree in trees)
+        trees = grow_round(NewtonGrower(BinnedMatrix(X), ks, 3, 1.0), np.full((len(ks), 1), 0.5), np.full((len(ks), 1), 0.25), row_values)
+        assert all(tree.feature.tolist() == [-1] and tree.n.tolist() == [1] for tree in trees)
         assert row_values.tolist() == [[-0.5 / 1.25]] * len(ks)
     constant = np.full((6, 3), 2)
-    trees = NewtonGrower(BinnedMatrix(constant), (3,), 3, 0.0).grow(np.ones((1, 6)), np.ones((1, 6)), np.empty((1, 6)))
-    assert trees[0].is_leaf and trees[0].value == -1.0
+    trees = grow_round(NewtonGrower(BinnedMatrix(constant), (3,), 3, 0.0), np.ones((1, 6)), np.ones((1, 6)), np.empty((1, 6)))
+    assert trees[0].feature.tolist() == [-1] and trees[0].value.tolist() == [-1.0]
 
 
 def test_saturated_leaf_without_l2_fails_clearly():
@@ -129,7 +134,7 @@ def test_saturated_leaf_without_l2_fails_clearly():
     with pytest.raises(ZeroDivisionError):
         fit_gbt_reference(X, y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2)
     with pytest.raises(ValueError, match="zero hessian sum"):
-        fit_gbt(X, y, hp)
+        fit_model(ModelFamily.GBT, X, y, hp)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +177,18 @@ def test_root_split_matches_brute_force_oracle(data):
     g = data.draw(st.lists(eighths, min_size=n, max_size=n))
     h = data.draw(st.lists(st.integers(1, 16).map(lambda v: v / 8.0), min_size=n, max_size=n))
     l2 = data.draw(st.sampled_from([0.0, 1.0]))
-    (root,) = NewtonGrower(BinnedMatrix(X), (d,), 1, l2).grow(np.array([g]), np.array([h]), np.empty((1, n)))
+    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X), (d,), 1, l2), np.array([g]), np.array([h]), np.empty((1, n)))
     expected = _brute_force_root_split(X, g, h, l2)
     if expected is None:
-        assert root.is_leaf
+        assert tree.feature.tolist() == [-1]
         return
     _, feature, threshold = expected
-    assert (root.feature, root.threshold) == (feature, threshold)
+    assert (tree.feature[0], tree.threshold[0]) == (feature, threshold)
     left = X[:, feature] <= threshold
     GL = sum(v for v, m in zip(g, left) if m)
     HL = sum(v for v, m in zip(h, left) if m)
-    assert root.left.n == int(left.sum())
-    assert root.left.value == -GL / (HL + l2)
+    assert tree.n[tree.left[0]] == int(left.sum())
+    assert tree.value[tree.left[0]] == -GL / (HL + l2)
 
 
 def test_oracle_tie_break_prefers_lowest_feature_then_threshold():
@@ -191,12 +196,12 @@ def test_oracle_tie_break_prefers_lowest_feature_then_threshold():
     X = np.array([[0, 0, 5], [1, 1, 5], [2, 2, 5], [3, 3, 5]])
     g = np.array([[-1.0, -1.0, 1.0, 1.0]])
     h = np.ones((1, 4))
-    (root,) = NewtonGrower(BinnedMatrix(X), (3,), 1, 1.0).grow(g, h, np.empty((1, 4)))
-    assert (root.feature, root.threshold) == (0, 1.5)
+    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X), (3,), 1, 1.0), g, h, np.empty((1, 4)))
+    assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
     # symmetric gradients: thresholds 0.5 and 2.5 tie, the lower one must win
     g = np.array([[-1.0, 1.0, 1.0, -1.0]])
-    (root,) = NewtonGrower(BinnedMatrix(X[:, :1]), (1,), 1, 1.0).grow(g, h, np.empty((1, 4)))
-    assert root.threshold == 0.5
+    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X[:, :1]), (1,), 1, 1.0), g, h, np.empty((1, 4)))
+    assert tree.threshold[0] == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,16 @@ WIDE_K_SWEEP = {
 }
 
 
+# synth --n 150 --seed 5; evaluate --seed 5 --versions v3 --k-min 3 --k-max 12 with the flags below;
+# most decision trees grow past depth 4, many to the full 12
+DEEP_TREE_ARGS = ["--tree-max-depth", "12", "--tree-min-leaf", "1", "--ada-rounds", "10", "--gbt-rounds", "10"]
+DEEP_TREE_SWEEP = {
+    "results.csv": "0364f14dda25b00da4c494830daefc98b111ab07a7e6e9286feceaf99e1f9277",
+    "summary.csv": "4df198c17b27c820382c97ed62076e1d628fe0a58e0879c4933570edd6ec0f9f",
+    "consistency.csv": "7e1469101298687855f9a9dac2c5c1e2186036f92717be8882b1094152cc2e77",
+}
+
+
 def _cohort(tmp_path_factory, n: int, seed: int):
     out = tmp_path_factory.mktemp(f"cohort{n}")
     assert main(["synth", "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
@@ -58,3 +68,16 @@ def test_golden_wide_k_sweep(tmp_path_factory, tmp_path):
             "--versions", "v2", "--k-min", "3", "--k-max", "30", *WIDE_K_ARGS]
     assert main(argv) == 0
     assert _digests(tmp_path) == WIDE_K_SWEEP
+
+
+@pytest.fixture(scope="module")
+def cohort_150(tmp_path_factory):
+    return _cohort(tmp_path_factory, 150, 5)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_golden_deep_tree_sweep(cohort_150, tmp_path, jobs):
+    argv = ["evaluate", "--in", str(cohort_150), "--out", str(tmp_path), "--seed", "5", "--jobs", str(jobs),
+            "--versions", "v3", "--k-min", "3", "--k-max", "12", *DEEP_TREE_ARGS]
+    assert main(argv) == 0
+    assert _digests(tmp_path) == DEEP_TREE_SWEEP

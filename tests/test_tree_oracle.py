@@ -1,0 +1,39 @@
+"""The flat trees' vectorised prediction against the per-node reference walk."""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fbcsurv.classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_model, predict
+
+import tree_reference
+
+
+def _matrix(data, n_rows, d, low, high):
+    rows = st.lists(st.lists(st.integers(low, high), min_size=d, max_size=d), min_size=n_rows, max_size=n_rows)
+    return np.array(data.draw(rows), dtype=np.int64).reshape(n_rows, d)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_flat_prediction_matches_per_node_walk(data):
+    n = data.draw(st.integers(1, 40))
+    d = data.draw(st.integers(1, 4))
+    high = data.draw(st.sampled_from([1, 4, 60]))
+    X = _matrix(data, n, d, 0, high)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    # test rows reach past the training values on both sides
+    X_test = _matrix(data, data.draw(st.integers(0, 30)), d, -3, high + 3)
+    family = data.draw(st.sampled_from(MODEL_FAMILIES))
+    hp = Hyperparameters(
+        tree_max_depth=data.draw(st.sampled_from([None, 1, 2, 4])),
+        tree_min_leaf=data.draw(st.integers(1, 3)),
+        ada_rounds=data.draw(st.integers(0, 8)),
+        gbt_rounds=data.draw(st.integers(0, 8)),
+        gbt_depth=data.draw(st.integers(1, 4)),
+        gbt_learning_rate=data.draw(st.sampled_from([0.1, 0.5])),
+    )
+    model = fit_model(family, X, y, hp)
+    for rows in (X, X_test):
+        assert np.array_equal(predict(model, rows), tree_reference.predict(model, rows))
+        if family is not ModelFamily.DECISION_TREE:
+            assert np.array_equal(model.model.decision_scores(rows), tree_reference.decision_scores(model, rows))
