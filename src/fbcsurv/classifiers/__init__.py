@@ -4,7 +4,7 @@ from .model import (
     ModelFamily,
     TrainedModel,
     decision_tree_dump,
-    fit_gbt_group,
+    fit_group,
     fit_model,
     predict,
 )
@@ -15,7 +15,7 @@ __all__ = [
     "ModelFamily",
     "TrainedModel",
     "decision_tree_dump",
-    "fit_gbt_group",
+    "fit_group",
     "fit_model",
     "predict",
 ]

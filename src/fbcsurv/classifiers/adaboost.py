@@ -23,7 +23,7 @@ def best_stump(bm: BinnedMatrix, y: np.ndarray, w: np.ndarray) -> tuple[Tree, fl
     n = len(y)
     w1_total = float(w[y == 1].sum())
     w0_total = float(w.sum()) - w1_total
-    majority = 1 if w1_total > w0_total else 0
+    majority = float(w1_total > w0_total)
     constant_err = min(w0_total, w1_total)
     w1 = np.where(y == 1, w, 0.0)
     counts, left_n, (lw1, lw), valid = bm.scan(np.arange(n), (w1, w))
@@ -36,18 +36,12 @@ def best_stump(bm: BinnedMatrix, y: np.ndarray, w: np.ndarray) -> tuple[Tree, fl
         err = min(lw0_b, lw1_b) + min(rw0_b, rw1_b)
         if err < constant_err:
             feature, threshold = bm.split_at(best, counts)
-            left_class, right_class = (1 if lw1_b > lw0_b else 0), (1 if rw1_b > rw0_b else 0)
-            stump = Tree.from_dict({
-                "feature": [feature, -1, -1],
-                "threshold": [threshold, 0.0, 0.0],
-                "left": [1, -1, -1],
-                "right": [2, -1, -1],
-                "value": [majority, left_class, right_class],
-                "n": [n, left_n[best], n - left_n[best]],
-            })
-            return stump, err, np.where(bm.flat_codes[:, feature] <= best, left_class, right_class)
-    constant = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [majority], "n": [n]}
-    return Tree.from_dict(constant), constant_err, np.full(n, majority)
+            left_class, right_class = float(lw1_b > lw0_b), float(rw1_b > rw0_b)
+            columns = ([feature, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                       [majority, left_class, right_class], [n, left_n[best], n - left_n[best]])
+            classes = np.where(bm.flat_codes[:, feature] <= best, left_class, right_class)
+            return Tree(*map(np.array, columns)), err, classes
+    return Tree(*map(np.array, ([-1], [0.0], [-1], [-1], [majority], [n]))), constant_err, np.full(n, majority)
 
 
 @dataclass
@@ -78,40 +72,43 @@ class AdaBoostEnsemble:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AdaBoostEnsemble":
+    def from_dict(cls, d: dict, n_features: int) -> "AdaBoostEnsemble":
+        if len(d["stumps"]) != len(d["alphas"]):
+            raise ValueError("an AdaBoost model needs one alpha per stump")
         return cls(
-            stumps=[Tree.from_dict(s) for s in d["stumps"]],
+            stumps=[Tree.from_dict(s, n_features) for s in d["stumps"]],
             alphas=list(d["alphas"]),
             fallback_class=d["fallback_class"],
         )
 
 
-def fit_adaboost_ensemble(X: np.ndarray, y: np.ndarray, rounds: int) -> AdaBoostEnsemble:
-    """Boost stumps with SAMME weight updates (alpha = log((1-err)/err) for 2 classes).
+def fit_adaboost_ensemble(bm: BinnedMatrix, y: np.ndarray, rounds: int) -> tuple[AdaBoostEnsemble, np.ndarray]:
+    """Boost stumps over the rows of bm with SAMME weight updates (alpha = log((1-err)/err) for 2 classes).
 
     Stops early on a perfect stump (kept, with the error clamped to eps for a
-    large finite alpha) or when the weighted error reaches 0.5.
+    large finite alpha) or when the weighted error reaches 0.5. Also returns
+    the ensemble's class for every training row, from the same scores
+    `decision_scores` adds up.
     """
     n = len(y)
     ensemble = AdaBoostEnsemble(fallback_class=1 if int(y.sum()) * 2 > n else 0)
-    bm = BinnedMatrix(X)
     w = np.full(n, 1.0 / n, dtype=np.float64)
+    scores = np.zeros(n, dtype=np.float64)
     for _ in range(rounds):
         stump, _, classes = best_stump(bm, y, w)
         miss = classes != y
         err = float(w[miss].sum())
         if err >= 0.5:
             break
+        alpha = math.log((1.0 - err) / err) if err > 0.0 else math.log((1.0 - _EPS) / _EPS)
         ensemble.weighted_errors.append(err)
-        if err <= 0.0:
-            ensemble.stumps.append(stump)
-            ensemble.alphas.append(math.log((1.0 - _EPS) / _EPS))
-            ensemble.weight_sums.append(float(w.sum()))
-            break
-        alpha = math.log((1.0 - err) / err)
         ensemble.stumps.append(stump)
         ensemble.alphas.append(alpha)
-        w = w * np.exp(alpha * miss)
-        w = w / w.sum()
+        scores += alpha * (2.0 * classes - 1.0)
+        if err > 0.0:
+            w = w * np.exp(alpha * miss)
+            w = w / w.sum()
         ensemble.weight_sums.append(float(w.sum()))
-    return ensemble
+        if err <= 0.0:
+            break
+    return ensemble, (scores > 0).astype(np.int64) if ensemble.stumps else np.full(n, ensemble.fallback_class)

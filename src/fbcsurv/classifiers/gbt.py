@@ -56,20 +56,21 @@ class GbtEnsemble:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GbtEnsemble":
+    def from_dict(cls, d: dict, n_features: int) -> "GbtEnsemble":
         return cls(
             init_score=d["init_score"],
             learning_rate=d["learning_rate"],
-            trees=[Tree.from_dict(t) for t in d["trees"]],
+            trees=[Tree.from_dict(t, n_features) for t in d["trees"]],
         )
 
 
 def fit_gbt_ensembles(
     bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, rounds: int, depth: int, learning_rate: float, l2: float
-) -> tuple[list[GbtEnsemble], np.ndarray]:
+) -> list[tuple[GbtEnsemble, np.ndarray]]:
     """Boost one ensemble per k in lockstep; model i trains on the first ks[i] columns of bm.
 
-    Also returns the final training scores, one row per model.
+    Each ensemble comes with its class for every training row, from its
+    final training scores.
     """
     n = len(y)
     y_f = y.astype(np.float64)
@@ -90,4 +91,4 @@ def fit_gbt_ensembles(
         GbtEnsemble(init, learning_rate, trees, model_losses)
         for trees, model_losses in zip(grower.pop_trees(), np.transpose(losses).tolist())
     ]
-    return ensembles, scores
+    return list(zip(ensembles, (scores > 0).astype(np.int64)))

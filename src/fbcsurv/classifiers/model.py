@@ -68,9 +68,13 @@ class TrainedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedModel":
+        """A model as `to_dict` writes it; malformed trees are a ValueError (see `Tree.from_dict`)."""
         family = ModelFamily(d["family"])
-        model = _MODEL_TYPES[family].from_dict(d["params"])
-        return cls(family=family, feature_names=tuple(d["feature_names"]), model=model)
+        feature_names = tuple(d["feature_names"])
+        model = _MODEL_TYPES[family].from_dict(d["params"], len(feature_names))
+        if family is ModelFamily.DECISION_TREE and (model.n1 is None or model.p is None):
+            raise ValueError("a decision tree needs its n1 and p arrays")
+        return cls(family=family, feature_names=feature_names, model=model)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -98,44 +102,32 @@ def _int_matrix(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _validate_training_input(X: np.ndarray, y: np.ndarray, feature_names: tuple[str, ...] | None):
-    X = _int_matrix(X)
-    y = np.asarray(y)
-    if len(X) == 0:
-        raise ValueError("empty input")
-    if y.shape != (len(X),):
-        raise ValueError("y length must match X rows")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("targets must be binary 0/1")
-    if feature_names is None:
-        feature_names = tuple(f"f{j}" for j in range(X.shape[1]))
-    elif len(feature_names) != X.shape[1]:
-        raise ValueError("feature_names length must match X columns")
-    return X, y.astype(np.int64), tuple(feature_names)
-
-
-def fit_gbt_group(
-    binned: BinnedMatrix, y: np.ndarray, hp: Hyperparameters, ks: tuple[int, ...], feature_names: tuple[str, ...]
+def fit_group(
+    family: ModelFamily, binned: BinnedMatrix, y: np.ndarray, hp: Hyperparameters, ks: tuple[int, ...],
+    names: tuple[str, ...],
 ) -> tuple[list[TrainedModel], np.ndarray]:
-    """One GBT per k, boosted in lockstep; model i trains on the first ks[i] columns of binned.
+    """One model of `family` per k; model i trains on the first ks[i] columns of binned (GBT in lockstep).
 
-    Each model equals `fit_model(ModelFamily.GBT, ...)` on those columns. Also
-    returns the final training scores, one row per model (score > 0 predicts
-    class 1).
+    Each model equals `fit_model(family, ...)` on those columns. Also returns
+    each model's class for every training row, one row per model, from the
+    fit rather than a prediction pass.
     """
     y = np.asarray(y)
     if y.shape != (binned.n,) or not np.isin(y, (0, 1)).all():
         raise ValueError("y must hold one binary 0/1 target per row of the binned matrix")
-    if len(feature_names) < max(ks):
+    if not ks or min(ks) < 1 or max(ks) > binned.d:
+        raise ValueError(f"column prefixes {ks} must lie in 1..{binned.d}")
+    if len(names) < max(ks):
         raise ValueError("feature_names must name every column the largest k uses")
-    ensembles, scores = fit_gbt_ensembles(
-        binned, tuple(ks), y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2
-    )
-    models = [
-        TrainedModel(family=ModelFamily.GBT, feature_names=tuple(feature_names[:k]), model=ensemble)
-        for k, ensemble in zip(ks, ensembles)
-    ]
-    return models, scores
+    y = y.astype(np.int64)
+    if family is ModelFamily.GBT:
+        fits = fit_gbt_ensembles(binned, ks, y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2)
+    elif family is ModelFamily.DECISION_TREE:
+        fits = [grow_classification_tree(binned.prefix(k), y, hp.tree_max_depth, hp.tree_min_leaf) for k in ks]
+    else:
+        fits = [fit_adaboost_ensemble(binned.prefix(k), y, hp.ada_rounds) for k in ks]
+    models = [TrainedModel(family, tuple(names[:k]), model) for k, (model, _) in zip(ks, fits)]
+    return models, np.array([classes for _, classes in fits])
 
 
 def fit_model(
@@ -145,15 +137,15 @@ def fit_model(
     hp: Hyperparameters,
     feature_names: tuple[str, ...] | None = None,
 ) -> TrainedModel:
-    """Fit one model of `family` on integer features X and binary targets y."""
-    X, y, names = _validate_training_input(X, y, feature_names)
-    if family is ModelFamily.DECISION_TREE:
-        model = grow_classification_tree(X, y, hp.tree_max_depth, hp.tree_min_leaf)
-    elif family is ModelFamily.ADABOOST:
-        model = fit_adaboost_ensemble(X, y, hp.ada_rounds)
-    else:
-        model = fit_gbt_group(BinnedMatrix(X), y, hp, (X.shape[1],), names)[0][0].model
-    return TrainedModel(family=family, feature_names=names, model=model)
+    """Fit one model of `family` on integer features X and binary targets y: `fit_group` with k = all columns."""
+    X = _int_matrix(X)
+    if len(X) == 0:
+        raise ValueError("empty input")
+    if feature_names is None:
+        feature_names = tuple(f"f{j}" for j in range(X.shape[1]))
+    elif len(feature_names) != X.shape[1]:
+        raise ValueError("feature_names length must match X columns")
+    return fit_group(family, BinnedMatrix(X), y, hp, (X.shape[1],), tuple(feature_names))[0][0]
 
 
 def predict(model: TrainedModel, X: np.ndarray, columns: tuple[str, ...] | None = None) -> np.ndarray:

@@ -38,8 +38,20 @@ class BinnedMatrix:
         self.bin_values = np.concatenate(values)
         self.col_of_bin = np.repeat(np.arange(self.d, dtype=np.int64), np.diff(self.offsets))
         self.flat_codes = codes + self.offsets[:-1][np.newaxis, :]
-        # cumulative count just before each bin's column segment starts
-        self._seg_start = self.offsets[self.col_of_bin]
+        # flat index of the first bin of each bin's column
+        self.seg_start = self.offsets[self.col_of_bin]
+
+    def prefix(self, k: int) -> "BinnedMatrix":
+        """The binning of the first k columns, as views of this matrix's arrays (no new np.unique)."""
+        if not 1 <= k <= self.d:
+            raise ValueError(f"column prefix {k} must lie in 1..{self.d}")
+        view = object.__new__(BinnedMatrix)
+        end = int(self.offsets[k])
+        view.n, view.d, view.n_bins = self.n, k, end
+        view.offsets, view.flat_codes = self.offsets[: k + 1], self.flat_codes[:, :k]
+        for name in ("bin_values", "col_of_bin", "seg_start"):  # one entry per flat bin
+            setattr(view, name, getattr(self, name)[:end])
+        return view
 
     def scan(self, idx: np.ndarray, weights: tuple[np.ndarray, ...]):
         """Per flat bin: node row counts, left-cumulative counts and weight sums.
@@ -51,12 +63,12 @@ class BinnedMatrix:
         fc = self.flat_codes[idx].ravel()
         counts = np.bincount(fc, minlength=self.n_bins)
         cum = np.concatenate(([0], np.cumsum(counts)))
-        left_counts = cum[1:] - cum[self._seg_start]
+        left_counts = cum[1:] - cum[self.seg_start]
         left_sums = []
         for w in weights:
             ws = np.bincount(fc, weights=np.repeat(w, self.d), minlength=self.n_bins)
             wcum = np.concatenate(([0.0], np.cumsum(ws)))
-            left_sums.append(wcum[1:] - wcum[self._seg_start])
+            left_sums.append(wcum[1:] - wcum[self.seg_start])
         valid = (counts > 0) & (left_counts < len(idx))
         return counts, left_counts, left_sums, valid
 

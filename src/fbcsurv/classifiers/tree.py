@@ -60,9 +60,33 @@ class Tree:
         return {name: getattr(self, name).tolist() for name in _ARRAYS if getattr(self, name) is not None}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        """A tree from per-node lists, as `to_dict` writes them."""
-        return cls(**{name: np.asarray(values, dtype=_ARRAYS[name]) for name, values in d.items()})
+    def from_dict(cls, d: dict, n_features: int) -> "Tree":
+        """A tree from per-node lists, as `to_dict` writes them, over n_features columns.
+
+        Raises ValueError unless the arrays have one length, every leaf has
+        left = right = -1, and every inner node splits on a feature below
+        n_features and has both children after it in the arrays, so every
+        walk from the root ends in a leaf.
+        """
+        if not set(_ARRAYS) - {"n1", "p"} <= set(d) <= set(_ARRAYS):
+            raise ValueError(f"a tree needs the arrays {list(_ARRAYS)[:6]}, optionally n1 and p; got {sorted(d)}")
+        try:
+            tree = cls(**{name: np.asarray(values, dtype=_ARRAYS[name]) for name, values in d.items()})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"a tree array holds a value of the wrong type: {exc}") from None
+        size = len(tree.feature)
+        if size == 0 or any(getattr(tree, name).shape != (size,) for name in d):
+            raise ValueError("a tree's per-node arrays must be non-empty lists of one length")
+        leaf = tree.feature == -1
+        if (tree.left[leaf] != -1).any() or (tree.right[leaf] != -1).any():
+            raise ValueError("a leaf (feature -1) must have left = right = -1")
+        inner = np.flatnonzero(~leaf)
+        if ((tree.feature[inner] < 0) | (tree.feature[inner] >= n_features)).any():
+            raise ValueError(f"a split feature must lie in 0..{n_features - 1}")
+        children = np.stack((tree.left[inner], tree.right[inner]))
+        if ((children <= inner) | (children >= size)).any():
+            raise ValueError("an inner node's children must lie after it and inside the tree's arrays")
+        return tree
 
     def dump(self, feature_names: tuple[str, ...]) -> str:
         """Human-readable indented dump of a classification tree: one line per leaf, two per split."""
@@ -140,13 +164,16 @@ def _gini_split(bm: BinnedMatrix, idx: np.ndarray, y_f: np.ndarray, min_leaf: in
     return feature, threshold, best
 
 
-def grow_classification_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None, min_leaf: int) -> Tree:
-    """CART tree on Gini impurity; nodes are numbered breadth first, in the order they are grown.
+def grow_classification_tree(
+    bm: BinnedMatrix, y: np.ndarray, max_depth: int | None, min_leaf: int
+) -> tuple[Tree, np.ndarray]:
+    """CART tree on Gini impurity over the rows of bm, and its class for every training row.
 
-    Every node's value is its majority class, ties predicting class 0.
+    Nodes are numbered breadth first, in the order they are grown. Every
+    node's value is its majority class, ties predicting class 0.
     """
-    bm = BinnedMatrix(X)
     y_f = y.astype(np.float64)
+    classes = np.empty(len(y), dtype=np.int64)  # each row's leaf class
     rows = [(np.arange(len(y)), 0)]  # (row indices, depth) per node
     nodes = []  # (feature, threshold, left, right, n1) per node
     for idx, depth in rows:  # rows grows as nodes split
@@ -158,6 +185,7 @@ def grow_classification_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None
             split = _gini_split(bm, idx, y_f[idx], min_leaf)
         if split is None:
             nodes.append((-1, 0.0, -1, -1, n1))
+            classes[idx] = 2 * n1 > len(idx)
             continue
         feature, threshold, flat_bin = split
         mask = bm.flat_codes[idx, feature] <= flat_bin
@@ -166,7 +194,8 @@ def grow_classification_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None
     feature, threshold, left, right, n1 = (np.array(column) for column in zip(*nodes))
     n = np.array([len(idx) for idx, _ in rows])
     klass = 2 * n1 > n
-    return Tree(feature, threshold, left, right, klass.astype(np.float64), n, n1, np.where(klass, n1, n - n1) / n)
+    tree = Tree(feature, threshold, left, right, klass.astype(np.float64), n, n1, np.where(klass, n1, n - n1) / n)
+    return tree, classes
 
 
 class NewtonGrower:
@@ -187,15 +216,13 @@ class NewtonGrower:
     """
 
     def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], max_depth: int, l2: float):
-        if not ks or min(ks) < 1 or max(ks) > bm.d:
-            raise ValueError(f"column prefixes {ks} must lie in 1..{bm.d}")
+        bm = bm.prefix(max(ks))
         n = bm.n
         self.bm = bm
         self.max_depth = max_depth
         self.l2 = l2
         self.n_models = len(ks)
-        self.n_bins = int(bm.offsets[max(ks)])
-        self._seg_start = bm._seg_start[: self.n_bins]
+        self.n_bins = bm.n_bins
         # One element per (model, column < k, row), in that order. A bin lies in
         # one column, so every (node, bin) sum adds rows in ascending order.
         # Model m's elements are a (k, n) block of each buffer; the buffers are
@@ -204,7 +231,7 @@ class NewtonGrower:
         self._codes = np.empty(size, dtype=np.int64)
         self._wg = np.empty(size, dtype=np.float64)
         self._wh = np.empty(size, dtype=np.float64)
-        codes_by_column = np.ascontiguousarray(bm.flat_codes[:, : max(ks)].T)
+        codes_by_column = np.ascontiguousarray(bm.flat_codes.T)
         self._blocks = []
         start = 0
         for k in ks:
@@ -234,7 +261,7 @@ class NewtonGrower:
         sums = np.bincount(self._codes, weights=weights, minlength=size + self.n_bins)[:size].reshape(n_slots, -1)
         cum = np.zeros((n_slots, self.n_bins + 1), dtype=sums.dtype)
         np.cumsum(sums, axis=1, out=cum[:, 1:])
-        return sums, cum[:, 1:] - cum[:, self._seg_start]
+        return sums, cum[:, 1:] - cum[:, self.bm.seg_start]
 
     def _histograms(self, depth: int, order: np.ndarray, slot_of_pos: np.ndarray, n_slots: int):
         """Counts, left counts, left gradient sums and left hessian sums per (open slot, flat bin)."""

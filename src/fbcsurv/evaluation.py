@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_gbt_group, fit_model, predict
+# fit_model and predict stay module globals, unused or not: perfbench/tracing.py rebinds them
+from .classifiers import MODEL_FAMILIES, Hyperparameters, fit_group, fit_model, predict  # noqa: F401
 from .classifiers.splits import BinnedMatrix
 from .cohort import MEASURES, Cohort, Measure, SurvivalStatus, survival_label
 from .features import FeatureMatrix, build_matrix
@@ -33,7 +34,7 @@ from .ranges import SOFT_MARGIN_DEFAULT
 from .selection import rank_features
 
 N_FOLDS = 10
-# GBT models of one fold boost in lockstep while n_train * sum(k) stays within this many elements
+# a fold fits each family's models for consecutive k together while n_train * sum(k) stays within this many elements
 GBT_GROUP_ELEMENTS = 32_768
 
 
@@ -138,7 +139,7 @@ def _rates(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
 
 
 def _lockstep_groups(k_values: tuple[int, ...], n_rows: int) -> list[tuple[int, ...]]:
-    """Consecutive k values whose GBT models boost together within GBT_GROUP_ELEMENTS.
+    """Consecutive k values whose models a fold fits together within GBT_GROUP_ELEMENTS.
 
     A k whose own n_rows * k exceeds the budget forms a group of one.
     """
@@ -164,24 +165,18 @@ def _fold_task(args) -> list[FoldRecord]:
     X_train = X_train[:, cols]
     X_test = X_test[:, cols]
     binned = BinnedMatrix(X_train)
-    # k -> (test rates, training accuracy); a group's models are scored, then dropped
-    gbt = {}
-    for ks in _lockstep_groups(k_values, len(y_train)):
-        models, train_scores = fit_gbt_group(binned, y_train, hp, ks, top)
-        for k, model, scores in zip(ks, models, train_scores):
-            gbt[k] = (_rates(predict(model, X_test[:, :k]), y_test), float(np.mean((scores > 0) == y_train)))
+    # (family, k) -> (test rates, training accuracy); a group's models are scored, then dropped
+    scored = {}
+    for family in MODEL_FAMILIES:
+        for ks in _lockstep_groups(k_values, len(y_train)):
+            models, train_classes = fit_group(family, binned, y_train, hp, ks, top)
+            for k, model, classes in zip(ks, models, train_classes):
+                rates = _rates(predict(model, X_test[:, :k]), y_test)
+                scored[family, k] = (rates, float(np.mean(classes == y_train)))
     records = []
     for k in k_values:
-        selected = top[:k]
-        Xk_train = X_train[:, :k]
         for family in MODEL_FAMILIES:
-            if family is ModelFamily.GBT:
-                rates, train_accuracy = gbt[k]
-            else:
-                model = fit_model(family, Xk_train, y_train, hp, selected)
-                rates = _rates(predict(model, X_test[:, :k]), y_test)
-                train_accuracy = float(np.mean(predict(model, Xk_train) == y_train))
-            accuracy, sensitivity, specificity = rates
+            (accuracy, sensitivity, specificity), train_accuracy = scored[family, k]
             records.append(
                 FoldRecord(
                     version=version_value,
@@ -192,7 +187,7 @@ def _fold_task(args) -> list[FoldRecord]:
                     sensitivity=sensitivity,
                     specificity=specificity,
                     train_accuracy=train_accuracy,
-                    selected_features=selected,
+                    selected_features=top[:k],
                     train_hash=train_hash,
                     test_hash=test_hash,
                 )

@@ -361,6 +361,49 @@ def test_fit_determinism_and_json_roundtrip(family, tmp_path):
         assert np.array_equal(predict(loaded, X), predict(m1, X))
 
 
+def _edited(params, name, index, value):
+    edited = json.loads(json.dumps(params))
+    edited[name][index] = value
+    return edited
+
+
+# name -> edit of a saved one-column decision tree [split, leaf, leaf]
+BAD_TREE_EDITS = {
+    "backward_child": lambda t: _edited(t, "left", 0, 0),
+    "child_past_the_end": lambda t: _edited(t, "right", 0, 3),
+    "feature_out_of_range": lambda t: _edited(t, "feature", 0, 5),
+    "negative_feature": lambda t: _edited(t, "feature", 0, -2),
+    "leaf_with_child": lambda t: _edited(t, "left", 1, 2),
+    "ragged_arrays": lambda t: {**t, "threshold": t["threshold"][:2]},
+    "missing_array": lambda t: {name: v for name, v in t.items() if name != "n"},
+    "unknown_array": lambda t: {**t, "depth": [0, 1, 1]},
+    "without_n1_and_p": lambda t: {name: v for name, v in t.items() if name not in ("n1", "p")},
+    "non_numeric": lambda t: _edited(t, "left", 0, "one"),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_TREE_EDITS)
+def test_load_rejects_malformed_trees(edit):
+    X, y = _separable_1d()
+    saved = fit_model(DT, X, y, Hyperparameters(tree_min_leaf=1)).to_dict()
+    assert saved["params"]["feature"] == [0, -1, -1]
+    TrainedModel.from_dict(saved)
+    # before these checks, a backward child made predict loop forever and a bad feature gave numpy's IndexError
+    with pytest.raises(ValueError):
+        TrainedModel.from_dict({**saved, "params": BAD_TREE_EDITS[edit](saved["params"])})
+
+
+def test_load_rejects_malformed_ensembles():
+    X, y = _separable_1d()
+    ada = fit_model(ADA, X, y, HP).to_dict()
+    with pytest.raises(ValueError, match="alpha per stump"):
+        TrainedModel.from_dict({**ada, "params": {**ada["params"], "alphas": ada["params"]["alphas"] + [1.0]}})
+    gbt = fit_model(GBT, X, y, Hyperparameters(gbt_rounds=2, gbt_depth=1)).to_dict()
+    trees = [_edited(gbt["params"]["trees"][0], "feature", 0, 1)] + gbt["params"]["trees"][1:]
+    with pytest.raises(ValueError, match="split feature"):
+        TrainedModel.from_dict({**gbt, "params": {**gbt["params"], "trees": trees}})
+
+
 def test_unbounded_tree_deeper_than_the_recursion_limit_saves_and_dumps(tmp_path):
     # every split peels off one row: a chain of 1,199 splits
     X = np.arange(1200).reshape(-1, 1)

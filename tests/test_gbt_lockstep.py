@@ -1,4 +1,5 @@
-"""The lockstep Newton grower against the per-node reference and a brute-force split oracle."""
+"""The one group fit path for every family, and the lockstep Newton grower against the per-node
+reference and a brute-force split oracle."""
 
 import json
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fbcsurv.classifiers import Hyperparameters, ModelFamily, fit_gbt_group, fit_model
+from fbcsurv.classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_group, fit_model, predict
 from fbcsurv.classifiers.splits import BinnedMatrix
 from fbcsurv.classifiers.tree import NewtonGrower
 from fbcsurv.evaluation import GBT_GROUP_ELEMENTS, _lockstep_groups
@@ -43,6 +44,82 @@ def prefix_groups(draw, d):
     return tuple(sorted(draw(st.sets(st.integers(1, d), min_size=1, max_size=min(d, 4)))))
 
 
+FAMILIES = [pytest.param(family, id=family.value) for family in MODEL_FAMILIES]
+
+
+# ---------------------------------------------------------------------------
+# one fit path: fit_group over one binning against one fit_model per k
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(X=integer_matrices())
+def test_prefix_binning_equals_binning_of_the_prefix(X):
+    binned = BinnedMatrix(X)
+    for k in range(1, X.shape[1] + 1):
+        prefix, alone = binned.prefix(k), BinnedMatrix(X[:, :k])
+        assert (prefix.n, prefix.d, prefix.n_bins) == (alone.n, alone.d, alone.n_bins)
+        for name in ("offsets", "bin_values", "col_of_bin", "flat_codes", "seg_start"):
+            assert np.array_equal(getattr(prefix, name), getattr(alone, name))
+        assert np.shares_memory(prefix.flat_codes, binned.flat_codes)
+    with pytest.raises(ValueError, match="column prefix"):
+        binned.prefix(X.shape[1] + 1)
+
+
+def _check_group_against_single_fits(family, X, y, hp, ks):
+    """Each group model serialises like fit_model on its columns; its training classes are its predictions."""
+    names = tuple(f"f{j}" for j in range(X.shape[1]))
+    models, train_classes = fit_group(family, BinnedMatrix(X), y, hp, ks, names)
+    assert train_classes.shape == (len(ks), len(y))
+    for model, classes, k in zip(models, train_classes, ks):
+        alone = fit_model(family, X[:, :k], y, hp, names[:k])
+        assert json.dumps(model.to_dict(), sort_keys=True) == json.dumps(alone.to_dict(), sort_keys=True)
+        assert np.array_equal(classes, predict(model, X[:, :k]))
+    return models
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_group_fit_matches_single_fits(family, data):
+    X = data.draw(integer_matrices())
+    n, d = X.shape
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    hp = Hyperparameters(
+        tree_max_depth=data.draw(st.sampled_from([None, 1, 2, 4])),
+        tree_min_leaf=data.draw(st.integers(1, n)),
+        ada_rounds=data.draw(st.integers(0, 8)),
+        gbt_rounds=data.draw(st.integers(0, 4)),
+        gbt_depth=data.draw(st.integers(1, 3)),
+    )
+    _check_group_against_single_fits(family, X, y, hp, data.draw(prefix_groups(d)))
+
+
+_X_20 = np.random.default_rng(5).integers(0, 4, size=(20, 4))
+_Y_20 = np.random.default_rng(6).integers(0, 2, size=20)
+# name -> (X, y, hyperparameters)
+EDGE_CASES = {
+    "no_boosting_rounds": (_X_20, _Y_20, Hyperparameters(ada_rounds=0, gbt_rounds=0)),
+    # balanced targets and no usable split: the first stump's weighted error is 0.5
+    "first_stump_error_half": (np.ones((6, 2), dtype=int), np.array([0, 1] * 3), Hyperparameters()),
+    "single_row": (np.array([[3, 4]]), np.array([1]), Hyperparameters(tree_min_leaf=1)),
+    "constant_columns": (np.full((8, 3), 2), np.array([0, 1, 1, 0, 1, 1, 0, 1]), Hyperparameters()),
+    "min_leaf_above_half": (_X_20, _Y_20, Hyperparameters(tree_min_leaf=11)),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_group_fit_edge_cases(family, case):
+    X, y, hp = EDGE_CASES[case]
+    models = _check_group_against_single_fits(family, X, y, hp, tuple(range(1, X.shape[1] + 1)))
+    if family is ModelFamily.ADABOOST and case in ("no_boosting_rounds", "first_stump_error_half"):
+        # no stump kept: every row gets fallback_class
+        assert all(model.model.stumps == [] for model in models)
+    if family is ModelFamily.DECISION_TREE and case in ("single_row", "constant_columns", "min_leaf_above_half"):
+        assert all(model.model.feature.tolist() == [-1] for model in models)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_lockstep_boosting_matches_per_node_reference(data):
@@ -60,9 +137,9 @@ def test_lockstep_boosting_matches_per_node_reference(data):
         gbt_l2=l2,
     )
     names = tuple(f"f{j}" for j in range(d))
-    models, train_scores = fit_gbt_group(BinnedMatrix(X), y, hp, ks, names)
+    models, train_classes = fit_group(ModelFamily.GBT, BinnedMatrix(X), y, hp, ks, names)
     assert [m.feature_names for m in models] == [names[:k] for k in ks]
-    for model, scores, k in zip(models, train_scores, ks):
+    for model, classes, k in zip(models, train_classes, ks):
         reference, reference_scores = fit_gbt_reference(
             X[:, :k], y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2
         )
@@ -70,7 +147,7 @@ def test_lockstep_boosting_matches_per_node_reference(data):
         assert [nodes_from_tree(tree) for tree in model.model.trees] == reference.trees
         assert (model.model.init_score, model.model.learning_rate) == (reference.init_score, reference.learning_rate)
         assert model.model.train_losses == reference.train_losses
-        assert np.array_equal(scores, reference_scores)
+        assert np.array_equal(classes, reference_scores > 0)
         assert np.array_equal(model.model.decision_scores(X[:, :k]), reference.decision_scores(X[:, :k]))
         alone = fit_model(ModelFamily.GBT, X[:, :k], y, hp, names[:k])
         assert json.dumps(alone.to_dict(), sort_keys=True) == json.dumps(model.to_dict(), sort_keys=True)
@@ -102,16 +179,17 @@ def test_group_fit_rejects_bad_inputs():
     X = np.array([[0, 1], [1, 0], [2, 2]])
     binned = BinnedMatrix(X)
     hp = Hyperparameters(gbt_rounds=2)
-    with pytest.raises(ValueError, match="binary"):
-        fit_gbt_group(binned, np.array([0, 1]), hp, (1,), ("a", "b"))
-    with pytest.raises(ValueError, match="binary"):
-        fit_gbt_group(binned, np.array([0, 2, 1]), hp, (1,), ("a", "b"))
-    with pytest.raises(ValueError, match="column prefixes"):
-        fit_gbt_group(binned, np.array([0, 1, 1]), hp, (0, 2), ("a", "b"))
-    with pytest.raises(ValueError, match="column prefixes"):
-        fit_gbt_group(binned, np.array([0, 1, 1]), hp, (3,), ("a", "b", "c"))
-    with pytest.raises(ValueError, match="feature_names"):
-        fit_gbt_group(binned, np.array([0, 1, 1]), hp, (2,), ("a",))
+    for family in MODEL_FAMILIES:
+        with pytest.raises(ValueError, match="binary"):
+            fit_group(family, binned, np.array([0, 1]), hp, (1,), ("a", "b"))
+        with pytest.raises(ValueError, match="binary"):
+            fit_group(family, binned, np.array([0, 2, 1]), hp, (1,), ("a", "b"))
+        with pytest.raises(ValueError, match="column prefixes"):
+            fit_group(family, binned, np.array([0, 1, 1]), hp, (0, 2), ("a", "b"))
+        with pytest.raises(ValueError, match="column prefixes"):
+            fit_group(family, binned, np.array([0, 1, 1]), hp, (3,), ("a", "b", "c"))
+        with pytest.raises(ValueError, match="feature_names"):
+            fit_group(family, binned, np.array([0, 1, 1]), hp, (2,), ("a",))
 
 
 def test_single_row_and_constant_columns_make_single_leaves():
