@@ -7,41 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splits import BinnedMatrix, argbest
-from .tree import Tree, predict_trees
+from .splits import BinnedMatrix
+from .tree import StumpGrower, Tree, check_saved_keys, is_finite_number, predict_trees
 
 _EPS = 1e-10
-
-
-def best_stump(bm: BinnedMatrix, y: np.ndarray, w: np.ndarray) -> tuple[Tree, float, np.ndarray]:
-    """Minimum-weighted-error stump over the rows of bm; ties keep the lowest feature, then threshold.
-
-    Returns the stump, its weighted error and its class for every row. The
-    constant majority stump, a single leaf, wins ties and covers data with no
-    usable split. A stump's root holds the weighted majority class too.
-    """
-    n = len(y)
-    w1_total = float(w[y == 1].sum())
-    w0_total = float(w.sum()) - w1_total
-    majority = float(w1_total > w0_total)
-    constant_err = min(w0_total, w1_total)
-    w1 = np.where(y == 1, w, 0.0)
-    counts, left_n, (lw1, lw), valid = bm.scan(np.arange(n), (w1, w))
-    best = argbest(np.minimum(lw - lw1, lw1) + np.minimum(w0_total - (lw - lw1), w1_total - lw1), valid, maximize=False)
-    if best is not None:
-        lw0_b = float(lw[best] - lw1[best])
-        lw1_b = float(lw1[best])
-        rw0_b = w0_total - lw0_b
-        rw1_b = w1_total - lw1_b
-        err = min(lw0_b, lw1_b) + min(rw0_b, rw1_b)
-        if err < constant_err:
-            feature, threshold = bm.split_at(best, counts)
-            left_class, right_class = float(lw1_b > lw0_b), float(rw1_b > rw0_b)
-            columns = ([feature, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
-                       [majority, left_class, right_class], [n, left_n[best], n - left_n[best]])
-            classes = np.where(bm.flat_codes[:, feature] <= best, left_class, right_class)
-            return Tree(*map(np.array, columns)), err, classes
-    return Tree(*map(np.array, ([-1], [0.0], [-1], [-1], [majority], [n]))), constant_err, np.full(n, majority)
 
 
 @dataclass
@@ -73,8 +42,13 @@ class AdaBoostEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "AdaBoostEnsemble":
+        check_saved_keys(d, ("stumps", "alphas", "fallback_class"), "an AdaBoost model")
         if len(d["stumps"]) != len(d["alphas"]):
             raise ValueError("an AdaBoost model needs one alpha per stump")
+        if not all(map(is_finite_number, d["alphas"])):
+            raise ValueError("an AdaBoost model's alphas must be finite numbers")
+        if type(d["fallback_class"]) is not int or d["fallback_class"] not in (0, 1):
+            raise ValueError("an AdaBoost model's fallback_class must be 0 or 1")
         return cls(
             stumps=[Tree.from_dict(s, n_features) for s in d["stumps"]],
             alphas=list(d["alphas"]),
@@ -82,33 +56,49 @@ class AdaBoostEnsemble:
         )
 
 
-def fit_adaboost_ensemble(bm: BinnedMatrix, y: np.ndarray, rounds: int) -> tuple[AdaBoostEnsemble, np.ndarray]:
-    """Boost stumps over the rows of bm with SAMME weight updates (alpha = log((1-err)/err) for 2 classes).
+def fit_adaboost_ensembles(
+    bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, rounds: int
+) -> list[tuple[AdaBoostEnsemble, np.ndarray]]:
+    """Boost one ensemble per k in lockstep with SAMME updates (alpha = log((1-err)/err) for 2 classes).
 
-    Stops early on a perfect stump (kept, with the error clamped to eps for a
-    large finite alpha) or when the weighted error reaches 0.5. Also returns
-    the ensemble's class for every training row, from the same scores
-    `decision_scores` adds up.
+    Model i trains on the first ks[i] columns of bm; one `StumpGrower` pass per
+    round grows every model's stump. A model stops on a perfect stump (kept,
+    its error clamped to eps for a finite alpha) or at a weighted error >= 0.5,
+    and then keeps no later stump or diagnostics. Its error and weights are 1-D
+    sums over its own rows, so it equals boosting it alone. Each ensemble comes
+    with its class per training row, from the scores `decision_scores` adds.
     """
     n = len(y)
-    ensemble = AdaBoostEnsemble(fallback_class=1 if int(y.sum()) * 2 > n else 0)
-    w = np.full(n, 1.0 / n, dtype=np.float64)
-    scores = np.zeros(n, dtype=np.float64)
+    ensembles = [AdaBoostEnsemble(fallback_class=1 if int(y.sum()) * 2 > n else 0) for _ in ks]
+    w = [np.full(n, 1.0 / n, dtype=np.float64) for _ in ks]
+    scores = np.zeros((len(ks), n), dtype=np.float64)
+    classes = np.empty((len(ks), n), dtype=np.float64)
+    grower = StumpGrower(bm, ks, y)
+    boosting = list(range(len(ks)))
     for _ in range(rounds):
-        stump, _, classes = best_stump(bm, y, w)
-        miss = classes != y
-        err = float(w[miss].sum())
-        if err >= 0.5:
+        if not boosting:
             break
-        alpha = math.log((1.0 - err) / err) if err > 0.0 else math.log((1.0 - _EPS) / _EPS)
-        ensemble.weighted_errors.append(err)
-        ensemble.stumps.append(stump)
-        ensemble.alphas.append(alpha)
-        scores += alpha * (2.0 * classes - 1.0)
-        if err > 0.0:
-            w = w * np.exp(alpha * miss)
-            w = w / w.sum()
-        ensemble.weight_sums.append(float(w.sum()))
-        if err <= 0.0:
-            break
-    return ensemble, (scores > 0).astype(np.int64) if ensemble.stumps else np.full(n, ensemble.fallback_class)
+        grower.grow(w, classes)
+        for m in list(boosting):
+            ensemble = ensembles[m]
+            miss = classes[m] != y
+            err = float(w[m][miss].sum())
+            if err >= 0.5:
+                boosting.remove(m)
+                continue
+            alpha = math.log((1.0 - err) / err) if err > 0.0 else math.log((1.0 - _EPS) / _EPS)
+            ensemble.weighted_errors.append(err)
+            ensemble.alphas.append(alpha)
+            scores[m] += alpha * (2.0 * classes[m] - 1.0)
+            if err > 0.0:
+                w[m] = w[m] * np.exp(alpha * miss)
+                w[m] = w[m] / w[m].sum()
+            ensemble.weight_sums.append(float(w[m].sum()))
+            if err <= 0.0:
+                boosting.remove(m)
+    for ensemble, stumps in zip(ensembles, grower.pop_trees()):
+        ensemble.stumps = stumps[: len(ensemble.alphas)]
+    return [
+        (ensemble, (model_scores > 0).astype(np.int64) if ensemble.stumps else np.full(n, ensemble.fallback_class))
+        for ensemble, model_scores in zip(ensembles, scores)
+    ]

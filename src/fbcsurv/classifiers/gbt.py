@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .splits import BinnedMatrix
-from .tree import NewtonGrower, Tree, predict_trees
+from .tree import NewtonGrower, Tree, check_saved_keys, is_finite_number, predict_trees
 
 _PRIOR_EPS = 1e-12
 
@@ -57,6 +57,11 @@ class GbtEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "GbtEnsemble":
+        check_saved_keys(d, ("init_score", "learning_rate", "trees"), "a GBT model")
+        if not is_finite_number(d["init_score"]):
+            raise ValueError("a GBT model's init_score must be a finite number")
+        if not (is_finite_number(d["learning_rate"]) and 0.0 < d["learning_rate"] <= 1.0):
+            raise ValueError("a GBT model's learning_rate must be a number in (0, 1]")
         return cls(
             init_score=d["init_score"],
             learning_rate=d["learning_rate"],

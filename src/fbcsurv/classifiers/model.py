@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaboost import AdaBoostEnsemble, fit_adaboost_ensemble
+from .adaboost import AdaBoostEnsemble, fit_adaboost_ensembles
 from .gbt import GbtEnsemble, fit_gbt_ensembles
 from .splits import BinnedMatrix
-from .tree import Tree, grow_classification_tree
+from .tree import GiniGrower, Tree
 
 
 class ModelFamily(Enum):
@@ -106,7 +106,7 @@ def fit_group(
     family: ModelFamily, binned: BinnedMatrix, y: np.ndarray, hp: Hyperparameters, ks: tuple[int, ...],
     names: tuple[str, ...],
 ) -> tuple[list[TrainedModel], np.ndarray]:
-    """One model of `family` per k; model i trains on the first ks[i] columns of binned (GBT in lockstep).
+    """One model of `family` per k, grown in lockstep; model i trains on the first ks[i] columns of binned.
 
     Each model equals `fit_model(family, ...)` on those columns. Also returns
     each model's class for every training row, one row per model, from the
@@ -123,9 +123,9 @@ def fit_group(
     if family is ModelFamily.GBT:
         fits = fit_gbt_ensembles(binned, ks, y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2)
     elif family is ModelFamily.DECISION_TREE:
-        fits = [grow_classification_tree(binned.prefix(k), y, hp.tree_max_depth, hp.tree_min_leaf) for k in ks]
+        fits = GiniGrower(binned, ks, y, hp.tree_max_depth, hp.tree_min_leaf).grow()
     else:
-        fits = [fit_adaboost_ensemble(binned.prefix(k), y, hp.ada_rounds) for k in ks]
+        fits = fit_adaboost_ensembles(binned, ks, y, hp.ada_rounds)
     models = [TrainedModel(family, tuple(names[:k]), model) for k, (model, _) in zip(ks, fits)]
     return models, np.array([classes for _, classes in fits])
 

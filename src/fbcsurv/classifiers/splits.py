@@ -1,13 +1,12 @@
-"""Flat-histogram split scanning for integer feature matrices.
+"""Per-column integer binning of a feature matrix into one flat code space.
 
-Features are binned once per fit: each column is rank-coded (np.unique), so
+Features are binned once per fold: each column is rank-coded (np.unique), so
 it has one bin per distinct value present. Every column's bins live in one
-flat code space, so a node's class/gradient sums over all (feature, bin)
-cells come from a single bincount pass, and the best split is an argmax over
-the flat gain vector. Flat order is column-major by feature then ascending
-value, which makes "first max" exactly the deterministic tie-break: lowest
-feature index, then lowest threshold. The bins of the first k columns are a
-prefix of the flat code space, so one binning serves every column prefix.
+flat code space, ordered by feature, then ascending value, so "first max"
+over a node's flat bins is the deterministic tie-break: lowest feature
+index, then lowest threshold. The bins of the first k columns are a prefix
+of the flat code space, so one binning serves every column prefix. The
+level-wise grower in `tree.py` builds its histograms over these codes.
 
 Splits are `feature <= t` with t the midpoint between consecutive distinct
 values present at the node, so integer features give a finite, exact set.
@@ -59,6 +58,8 @@ class BinnedMatrix:
         `weights` entries must already be sliced to the node rows (same order
         as idx). Returns (counts, left_counts, left_sums, valid) where valid
         marks bins usable as split points (occupied, with rows on both sides).
+        Only the per-node test references call it, and perfbench/tracing.py
+        rebinds it by name: renaming or removing it breaks every traced run.
         """
         fc = self.flat_codes[idx].ravel()
         counts = np.bincount(fc, minlength=self.n_bins)
@@ -73,19 +74,8 @@ class BinnedMatrix:
         return counts, left_counts, left_sums, valid
 
     def split_at(self, flat_bin: int, counts: np.ndarray) -> tuple[int, float]:
-        """Resolve a chosen flat bin to (feature index, midpoint threshold)."""
+        """Resolve a chosen flat bin to (feature index, midpoint threshold); kept for the same callers as `scan`."""
         j = int(self.col_of_bin[flat_bin])
         seg_end = int(self.offsets[j + 1])
         nxt = flat_bin + 1 + int(np.argmax(counts[flat_bin + 1 : seg_end] > 0))
         return j, (self.bin_values[flat_bin] + self.bin_values[nxt]) / 2.0
-
-
-def argbest(scores: np.ndarray, valid: np.ndarray, maximize: bool = True) -> int | None:
-    """Index of the best valid score; first occurrence wins ties. None if no valid cell."""
-    if not valid.any():
-        return None
-    masked = np.where(valid, scores, -np.inf if maximize else np.inf)
-    best = int(np.argmax(masked) if maximize else np.argmin(masked))
-    if not valid[best]:
-        return None
-    return best

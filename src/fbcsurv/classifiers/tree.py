@@ -1,20 +1,24 @@
-"""The flat array tree every model family shares, its CART and Newton growers, and its prediction walk.
+"""The flat array tree every model family shares, the one level-wise grower, and the prediction walk.
 
-Ties during split search are broken deterministically: lowest feature index
-first, then lowest threshold. Growth, prediction, serialisation and the dump
-are iterative, so unbounded-depth trees cannot hit the interpreter recursion
-limit. Newton regression trees grow level by level, for a group of boosted
-models at once.
+`LevelGrower` grows the trees of all three families, for a group of models
+at once, one histogram pass per tree level; `GiniGrower` (CART),
+`StumpGrower` (AdaBoost) and `NewtonGrower` (GBT) supply each family's
+totals, gain, acceptance rule and node values. Ties during split search are
+broken deterministically: lowest feature index first, then lowest threshold.
+Growth, prediction, serialisation and the dump are iterative, so
+unbounded-depth trees cannot hit the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .splits import BinnedMatrix, argbest
+from .splits import BinnedMatrix
 
 # (tree, row) pairs a prediction walk holds at once, so its temporaries stay small
 _WALK_PAIRS = 1 << 14
@@ -29,6 +33,18 @@ _ARRAYS = {
     "n1": np.int64,
     "p": np.float64,
 }
+
+
+def check_saved_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
+    """Raise ValueError unless the saved model d has every key."""
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ValueError(f"{what} needs the keys {list(keys)}; {missing} missing")
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; False for a bool, a string, None, NaN or an infinity."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(eq=False, slots=True)
@@ -133,157 +149,73 @@ def predict_trees(trees: list[Tree], X: np.ndarray) -> Iterator[np.ndarray]:
         yield from value[at]
 
 
-def _gini_split(bm: BinnedMatrix, idx: np.ndarray, y_f: np.ndarray, min_leaf: int):
-    """Best (feature, threshold, flat_bin) by Gini gain; None if no valid split.
-
-    Zero-gain splits are allowed: growth stops on purity, depth, or leaf-size
-    grounds, not on lack of immediate impurity improvement.
-    """
-    n = len(idx)
-    counts, left_n, (left_1,), valid = bm.scan(idx, (y_f,))
-    valid = valid & (left_n >= min_leaf) & ((n - left_n) >= min_leaf)
-    if not valid.any():
-        return None
-    n1 = float(y_f.sum())
-    n0 = n - n1
-    parent = 1.0 - (n0 * n0 + n1 * n1) / (n * n)
-    lnf = left_n.astype(np.float64)
-    rnf = n - lnf
-    l1 = left_1
-    l0 = lnf - l1
-    r1 = n1 - l1
-    r0 = n0 - l0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gini_left = 1.0 - (l0 * l0 + l1 * l1) / (lnf * lnf)
-        gini_right = 1.0 - (r0 * r0 + r1 * r1) / (rnf * rnf)
-        gain = parent - (lnf / n) * gini_left - (rnf / n) * gini_right
-    best = argbest(gain, valid, maximize=True)
-    if best is None:
-        return None
-    feature, threshold = bm.split_at(best, counts)
-    return feature, threshold, best
-
-
-def grow_classification_tree(
-    bm: BinnedMatrix, y: np.ndarray, max_depth: int | None, min_leaf: int
-) -> tuple[Tree, np.ndarray]:
-    """CART tree on Gini impurity over the rows of bm, and its class for every training row.
-
-    Nodes are numbered breadth first, in the order they are grown. Every
-    node's value is its majority class, ties predicting class 0.
-    """
-    y_f = y.astype(np.float64)
-    classes = np.empty(len(y), dtype=np.int64)  # each row's leaf class
-    rows = [(np.arange(len(y)), 0)]  # (row indices, depth) per node
-    nodes = []  # (feature, threshold, left, right, n1) per node
-    for idx, depth in rows:  # rows grows as nodes split
-        n1 = int(y[idx].sum())
-        pure = n1 in (0, len(idx))
-        depth_capped = max_depth is not None and depth >= max_depth
-        split = None
-        if not pure and not depth_capped and len(idx) >= 2 * min_leaf:
-            split = _gini_split(bm, idx, y_f[idx], min_leaf)
-        if split is None:
-            nodes.append((-1, 0.0, -1, -1, n1))
-            classes[idx] = 2 * n1 > len(idx)
-            continue
-        feature, threshold, flat_bin = split
-        mask = bm.flat_codes[idx, feature] <= flat_bin
-        nodes.append((feature, threshold, len(rows), len(rows) + 1, n1))
-        rows += [(idx[mask], depth + 1), (idx[~mask], depth + 1)]
-    feature, threshold, left, right, n1 = (np.array(column) for column in zip(*nodes))
-    n = np.array([len(idx) for idx, _ in rows])
-    klass = 2 * n1 > n
-    tree = Tree(feature, threshold, left, right, klass.astype(np.float64), n, n1, np.where(klass, n1, n - n1) / n)
-    return tree, classes
-
-
-class NewtonGrower:
-    """Level-wise Newton regression trees for a group of models boosted in lockstep.
+class LevelGrower:
+    """Level-wise trees for a group of models grown in lockstep: the one tree grower of every family.
 
     Model m sees the first ks[m] columns of `bm`, so its flat bins are a
-    prefix of bm's. At each tree level one bincount over a (model-node,
-    flat-bin) code space scores every node of every model. The trees equal
-    those of growing each model alone, node by node, bit for bit:
-
-    - each (node, bin) sum adds the node's rows in ascending row order;
-    - each node's cumulative sums start at 0 and run across all its columns;
-    - node totals G and H are `ndarray.sum()` over the node's rows in
-      ascending order (numpy's pairwise sum).
-
-    A node shallower than max_depth splits on its best second-order gain when
-    that gain is > 0; otherwise it is a leaf of weight -G / (H + l2).
+    prefix of bm's. At each tree level one bincount per weight channel over a
+    (node, flat-bin) code space scores every open node of every model; each
+    (node, bin) sum adds the node's rows in ascending order and each node's
+    cumulative sums run from 0 across all its columns, as scanning the node
+    alone does. A node takes its first best bin: lowest feature, then lowest
+    threshold. A family subclass supplies its weight channels and three
+    methods: `_nodes` (each open node's totals, and whether it may split),
+    `_gain` (every split's gain and validity, and the floor the best gain
+    must beat) and `_payload` (node values, then any extra `Tree` columns).
     """
 
-    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], max_depth: int, l2: float):
+    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], n_channels: int):
         bm = bm.prefix(max(ks))
         n = bm.n
         self.bm = bm
-        self.max_depth = max_depth
-        self.l2 = l2
         self.n_models = len(ks)
         self.n_bins = bm.n_bins
-        # One element per (model, column < k, row), in that order. A bin lies in
-        # one column, so every (node, bin) sum adds rows in ascending order.
-        # Model m's elements are a (k, n) block of each buffer; the buffers are
-        # reused every level.
+        # One element per (model, column < k, row), in that order, so a (node, bin) sum adds rows in
+        # ascending order. Model m's elements are a (k, n) block of each buffer, reused every level.
         size = n * sum(ks)
         self._codes = np.empty(size, dtype=np.int64)
-        self._wg = np.empty(size, dtype=np.float64)
-        self._wh = np.empty(size, dtype=np.float64)
-        codes_by_column = np.ascontiguousarray(bm.flat_codes.T)
+        self._channels = [np.empty(size, dtype=np.float64) for _ in range(n_channels)]
+        # flat bin of (column, row) at column * n + row
+        self._column_codes = np.ascontiguousarray(bm.flat_codes.T).ravel()
         self._blocks = []
         start = 0
         for k in ks:
             end = start + n * k
-            views = (buf[start:end].reshape(k, n) for buf in (self._codes, self._wg, self._wh))
-            self._blocks.append((codes_by_column[:k], *views))
+            views = (buf[start:end].reshape(k, n) for buf in (self._codes, *self._channels))
+            self._blocks.append((self._column_codes[: n * k].reshape(k, n), *views))
             start = end
-        # the root level's counts do not depend on the gradients
+        # the root level's codes and counts do not depend on the weights
         self._fill_codes(np.arange(self.n_models * n), np.repeat(np.arange(self.n_models), n), self.n_models)
-        self._root_counts = self._bin_sums(self.n_models)
-        # per level of every round grown, for every open node: tree (round * n_models +
-        # model), row count, feature and threshold (-1 and 0 at a leaf), leaf weight (0 at a split)
+        self._root_codes = self._codes.copy()
+        self._root_counts = self._bin_sums(self._root_codes, self.n_models)
+        # per level of every round grown, for every open node: tree (round * n_models + model),
+        # row count, feature and threshold (-1 and 0 at a leaf), then the family's payload columns
         self._levels = []
         self._rounds = 0
 
     def _fill_codes(self, order: np.ndarray, slot_of_pos: np.ndarray, n_slots: int) -> None:
-        """Write each element's (slot, flat bin) code; rows already in leaves go to slot n_slots."""
+        """Write each element's (slot, flat bin) code; rows outside the slots go to slot n_slots."""
         slot_base = np.full(self.n_models * self.bm.n, n_slots * self.n_bins, dtype=np.int64)
         slot_base[order] = slot_of_pos * self.n_bins
         slot_base = slot_base.reshape(self.n_models, -1)
-        for m, (bins, codes, _, _) in enumerate(self._blocks):
+        for m, (bins, codes, *_) in enumerate(self._blocks):
             np.add(slot_base[m], bins, out=codes)
 
-    def _bin_sums(self, n_slots: int, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Per open slot and flat bin: element counts (or weight sums) and their left-cumulative sums."""
+    def _bin_sums(self, codes: np.ndarray, n_slots: int, weights: np.ndarray | None = None):
+        """Per slot and flat bin of codes: element counts (or weight sums) and their left-cumulative sums."""
         size = n_slots * self.n_bins
-        sums = np.bincount(self._codes, weights=weights, minlength=size + self.n_bins)[:size].reshape(n_slots, -1)
+        sums = np.bincount(codes, weights=weights, minlength=size + self.n_bins)[:size].reshape(n_slots, -1)
         cum = np.zeros((n_slots, self.n_bins + 1), dtype=sums.dtype)
         np.cumsum(sums, axis=1, out=cum[:, 1:])
         return sums, cum[:, 1:] - cum[:, self.bm.seg_start]
 
-    def _histograms(self, depth: int, order: np.ndarray, slot_of_pos: np.ndarray, n_slots: int):
-        """Counts, left counts, left gradient sums and left hessian sums per (open slot, flat bin)."""
-        self._fill_codes(order, slot_of_pos, n_slots)
-        counts, left_counts = self._root_counts if depth == 0 else self._bin_sums(n_slots)
-        return counts, left_counts, self._bin_sums(n_slots, self._wg)[1], self._bin_sums(n_slots, self._wh)[1]
-
-    def grow(self, g: np.ndarray, h: np.ndarray, row_values: np.ndarray) -> None:
-        """Grow one round: a tree per model for (M, n) gradients and hessians.
-
-        Each training row's leaf weight is written into row_values (M, n), so
-        boosting can update scores without a separate prediction pass.
-        `pop_trees` hands the trees over.
-        """
-        n_models, n = g.shape
-        l2 = self.l2
+    def _grow(self, channels, row_values: np.ndarray) -> None:
+        """Grow a tree per model on its row weights channels[c][m]; row_values (M, n) gets each row's leaf value."""
+        n_models, n = row_values.shape
         bm = self.bm
-        for m, (_, _, wg, wh) in enumerate(self._blocks):
-            wg[...] = g[m]
-            wh[...] = h[m]
-        g = g.ravel()
-        h = h.ravel()
+        for m, (_, _, *buffers) in enumerate(self._blocks):
+            for buffer, weights in zip(buffers, channels):
+                buffer[...] = weights[m]
         values = row_values.reshape(-1)
         # (model, row) pairs of the open nodes, grouped by node and ascending within one
         order = np.arange(n_models * n)
@@ -291,59 +223,56 @@ class NewtonGrower:
         # the tree of each open node; open nodes stay grouped by tree, in model order
         slot_tree = np.arange(n_models) + self._rounds * n_models
         self._rounds += 1
-        for depth in range(self.max_depth + 1):
+        split_level = None
+        for depth in itertools.count():
             n_slots = len(sizes)
-            bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
             slot_of_pos = np.repeat(np.arange(n_slots), sizes)
-            g_ord = g[order]
-            h_ord = h[order]
-            totals = np.array([(g_ord[a:b].sum(), h_ord[a:b].sum()) for a, b in zip(bounds, bounds[1:])])
-            G = totals[:, :1]
-            H = totals[:, 1:]
-            split = np.zeros(n_slots, dtype=bool)
-            if depth < self.max_depth:
-                counts, left_counts, lg, lh = self._histograms(depth, order, slot_of_pos, n_slots)
-                valid = (counts > 0) & (left_counts < sizes[:, np.newaxis])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    parent_score = G * G / (H + l2)
-                    rg = G - lg
-                    rh = H - lh
-                    gain = 0.5 * (lg * lg / (lh + l2) + rg * rg / (rh + l2) - parent_score)
+            bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+            totals, split = self._nodes(depth, order, bounds, sizes, split_level)
+            if split.any():
+                # every open node gets a histogram row, as its rows are binned anyway; one that may not split
+                # has no valid bin
+                if depth == 0:
+                    codes, (counts, left_counts) = self._root_codes, self._root_counts
+                else:
+                    self._fill_codes(order, slot_of_pos, n_slots)
+                    codes = self._codes
+                    counts, left_counts = self._bin_sums(codes, n_slots)
+                left_sums = [self._bin_sums(codes, n_slots, weights)[1] for weights in self._channels]
+                valid = split[:, np.newaxis] & (counts > 0) & (left_counts < sizes[:, np.newaxis])
+                gain, valid, floor = self._gain(sizes, totals, left_counts, left_sums, valid)
                 # first maximum wins: lowest feature, then lowest threshold
                 gain = np.where(valid, gain, -np.inf)
                 best = gain.argmax(axis=1)
-                slots = np.arange(n_slots)
-                split = valid[slots, best] & ~(gain[slots, best] <= 0.0)
+                at = (np.arange(n_slots), best)
+                split = valid[at] & ~(gain[at] <= floor)
             is_leaf = ~split
             feature = np.full(n_slots, -1)
             threshold = np.zeros(n_slots)
-            value = np.zeros(n_slots)
-            self._levels.append((slot_tree, sizes, feature, threshold, value))
+            payload = self._payload(totals, sizes, is_leaf)
+            self._levels.append((slot_tree, sizes, feature, threshold, *payload))
             if is_leaf.any():
-                denominators = totals[:, 1] + l2
-                if (denominators[is_leaf] == 0.0).any():
-                    raise ValueError("a GBT leaf has a zero hessian sum; use gbt_l2 > 0")
-                leaf_values = -totals[:, 0] / denominators
                 in_leaf = is_leaf[slot_of_pos]
-                values[order[in_leaf]] = leaf_values[slot_of_pos[in_leaf]]
-                value[is_leaf] = leaf_values[is_leaf]
+                values[order[in_leaf]] = payload[0][slot_of_pos[in_leaf]]
                 if not split.any():
                     break
                 order = order[~in_leaf]
             # split nodes: feature, midpoint threshold to the next occupied bin, child sizes
-            flat_bin = best[split]
+            at = (split.nonzero()[0], best[split])
+            flat_bin = at[1]
             n_split = len(flat_bin)
-            occupied = counts[split] > 0
+            occupied = counts[at[0]] > 0
             after = np.arange(self.n_bins) > flat_bin[:, np.newaxis]
             nxt = (occupied & after).argmax(axis=1)
             features = bm.col_of_bin[flat_bin]
             feature[split] = features
             threshold[split] = (bm.bin_values[flat_bin] + bm.bin_values[nxt]) / 2.0
-            n_left = left_counts[split][np.arange(n_split), flat_bin]
+            n_left = left_counts[at]
+            split_level = (totals, at, left_sums)
             parent_sizes = sizes[split]
             # stable partition of each node's pairs: left child first, then right
             parent = np.repeat(np.arange(n_split), parent_sizes)
-            goes_left = bm.flat_codes[order % n, features[parent]] <= flat_bin[parent]
+            goes_left = self._column_codes[features[parent] * n + order % n] <= flat_bin[parent]
             child = 2 * parent + ~goes_left
             order = order[np.argsort(child.astype(np.min_scalar_type(2 * n_split)), kind="stable")]
             sizes = np.column_stack((n_left, parent_sizes - n_left)).ravel()
@@ -357,11 +286,11 @@ class NewtonGrower:
         """
         if not self._rounds:
             return [[] for _ in range(self.n_models)]
-        tree_of, n_rows, feature, threshold, value = (np.concatenate(column) for column in zip(*self._levels))
+        tree_of, *columns = (np.concatenate(column) for column in zip(*self._levels))
         self._levels, self._rounds = [], 0
         # each tree's nodes, level after level
         by_tree = np.argsort(tree_of, kind="stable")
-        n_rows, feature, threshold, value = (a[by_tree] for a in (n_rows, feature, threshold, value))
+        n_rows, feature, threshold, value, *kept = (a[by_tree] for a in columns)
         split = feature >= 0
         per_tree = np.bincount(tree_of)
         starts = np.concatenate(([0], np.cumsum(per_tree)))
@@ -371,7 +300,148 @@ class NewtonGrower:
         right = np.where(split, 2 * k + 2, -1)
         starts = starts.tolist()
         trees = [
-            Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b], n_rows[a:b])
-            for a, b in zip(starts, starts[1:])
+            Tree(*(a[start:end] for a in (feature, threshold, left, right, value, n_rows, *kept)))
+            for start, end in zip(starts, starts[1:])
         ]
         return [trees[m :: self.n_models] for m in range(self.n_models)]
+
+
+class NewtonGrower(LevelGrower):
+    """Newton regression trees on channels g and h, for a group of models boosted in lockstep.
+
+    Node totals G and H are `ndarray.sum()` over the node's rows in ascending
+    order (numpy's pairwise sum), as growing each model alone computes them.
+    A node shallower than max_depth splits on its best second-order gain when
+    that gain is > 0; otherwise it is a leaf of weight -G / (H + l2).
+    """
+
+    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], max_depth: int, l2: float):
+        super().__init__(bm, ks, n_channels=2)
+        self.max_depth = max_depth
+        self.l2 = l2
+
+    def grow(self, g: np.ndarray, h: np.ndarray, row_values: np.ndarray) -> None:
+        """Grow one round: a tree per model for (M, n) gradients and hessians; leaf weights go to row_values."""
+        self._g, self._h = g.ravel(), h.ravel()
+        self._grow((g, h), row_values)
+
+    def _nodes(self, depth, order, bounds, sizes, split_level):
+        g_ord = self._g[order]
+        h_ord = self._h[order]
+        totals = np.array([(g_ord[a:b].sum(), h_ord[a:b].sum()) for a, b in zip(bounds, bounds[1:])])
+        return totals, np.full(len(sizes), depth < self.max_depth)
+
+    def _gain(self, sizes, totals, left_counts, left_sums, valid):
+        G = totals[:, :1]
+        H = totals[:, 1:]
+        lg, lh = left_sums
+        l2 = self.l2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            parent_score = G * G / (H + l2)
+            rg = G - lg
+            rh = H - lh
+            gain = 0.5 * (lg * lg / (lh + l2) + rg * rg / (rh + l2) - parent_score)
+        return gain, valid, 0.0
+
+    def _payload(self, totals, sizes, is_leaf):
+        value = np.zeros(len(sizes))  # 0 at a split
+        if is_leaf.any():
+            denominators = totals[is_leaf, 1] + self.l2
+            if (denominators == 0.0).any():
+                raise ValueError("a GBT leaf has a zero hessian sum; use gbt_l2 > 0")
+            value[is_leaf] = -totals[is_leaf, 0] / denominators
+        return (value,)
+
+
+class GiniGrower(LevelGrower):
+    """CART trees on Gini impurity over channel y, for a group of models; one round grows them all.
+
+    Class counts are exact integers, so their summation order does not
+    matter. A node that is pure, at max_depth (None is unbounded) or smaller
+    than 2 * min_leaf is a leaf. Any other node splits on its best Gini gain,
+    zero included, among the splits that leave min_leaf rows on each side.
+    Every node's value is its majority class, ties predicting class 0, and
+    the tree keeps `n1` and `p`.
+    """
+
+    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, max_depth: int | None, min_leaf: int):
+        super().__init__(bm, ks, n_channels=1)
+        self.y = y
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+
+    def grow(self) -> list[tuple[Tree, np.ndarray]]:
+        """Each model's tree and its class for every training row."""
+        classes = np.empty((self.n_models, self.bm.n))
+        self._grow(([self.y.astype(np.float64)] * self.n_models,), classes)
+        return [(trees[0], model_classes) for trees, model_classes in zip(self.pop_trees(), classes.astype(np.int64))]
+
+    def _nodes(self, depth, order, bounds, sizes, split_level):
+        n1 = np.add.reduceat(self.y[order % self.bm.n], bounds[:-1])
+        depth_capped = self.max_depth is not None and depth >= self.max_depth
+        return n1, (n1 > 0) & (n1 < sizes) & (sizes >= 2 * self.min_leaf) & (not depth_capped)
+
+    def _gain(self, sizes, n1, left_n, left_sums, valid):
+        (l1,) = left_sums
+        n = sizes[:, np.newaxis]
+        valid = valid & (left_n >= self.min_leaf) & ((n - left_n) >= self.min_leaf)
+        n1 = n1[:, np.newaxis].astype(np.float64)
+        n0 = n - n1
+        parent = 1.0 - (n0 * n0 + n1 * n1) / (n * n)
+        lnf = left_n.astype(np.float64)
+        rnf = n - lnf
+        l0 = lnf - l1
+        r1 = n1 - l1
+        r0 = n0 - l0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gini_left = 1.0 - (l0 * l0 + l1 * l1) / (lnf * lnf)
+            gini_right = 1.0 - (r0 * r0 + r1 * r1) / (rnf * rnf)
+            gain = parent - (lnf / n) * gini_left - (rnf / n) * gini_right
+        return gain, valid, -np.inf
+
+    def _payload(self, n1, sizes, is_leaf):
+        klass = 2 * n1 > sizes
+        return klass.astype(np.float64), n1, np.where(klass, n1, sizes - n1) / sizes
+
+
+class StumpGrower(LevelGrower):
+    """AdaBoost decision stumps over channels w1 (w on class-1 rows, else 0) and w, for models boosted in lockstep.
+
+    The root splits on its minimum weighted error when that error is below
+    the constant stump's; otherwise the stump is a single leaf. Every node's
+    value is its weighted majority class: the root's from each model's 1-D
+    weight sums, as boosting it alone takes them, the leaves' from the root's
+    histogram at the chosen bin.
+    """
+
+    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray):
+        super().__init__(bm, ks, n_channels=2)
+        self.class_1 = y == 1
+
+    def grow(self, w: list[np.ndarray], row_classes: np.ndarray) -> None:
+        """Grow one round: a stump per model for its row weights w[m]; each row's class goes to row_classes."""
+        w1_totals = [float(wm[self.class_1].sum()) for wm in w]
+        # per model: class-1 and class-0 weight
+        self._root = np.array([(w1_total, float(wm.sum()) - w1_total) for w1_total, wm in zip(w1_totals, w)])
+        self._grow(([np.where(self.class_1, wm, 0.0) for wm in w], w), row_classes)
+
+    def _nodes(self, depth, order, bounds, sizes, split_level):
+        if split_level is None:
+            return self._root, np.full(len(sizes), True)
+        totals, at, (lw1, lw) = split_level
+        parents = totals[at[0]]
+        lw1 = lw1[at]
+        lw0 = lw[at] - lw1
+        children = np.column_stack((lw1, lw0, parents[:, 0] - lw1, parents[:, 1] - lw0)).reshape(-1, 2)
+        return children, np.full(len(sizes), False)
+
+    def _gain(self, sizes, totals, left_counts, left_sums, valid):
+        lw1, lw = left_sums
+        w1_total = totals[:, :1]
+        w0_total = totals[:, 1:]
+        err = np.minimum(lw - lw1, lw1) + np.minimum(w0_total - (lw - lw1), w1_total - lw1)
+        # the first maximum of -err is the first minimum error; it must beat the constant stump's
+        return -err, valid, -np.minimum(totals[:, 1], totals[:, 0])
+
+    def _payload(self, totals, sizes, is_leaf):
+        return ((totals[:, 0] > totals[:, 1]).astype(np.float64),)

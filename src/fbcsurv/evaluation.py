@@ -35,7 +35,7 @@ from .selection import rank_features
 
 N_FOLDS = 10
 # a fold fits each family's models for consecutive k together while n_train * sum(k) stays within this many elements
-GBT_GROUP_ELEMENTS = 32_768
+LOCKSTEP_GROUP_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,13 @@ def _rates(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
 
 
 def _lockstep_groups(k_values: tuple[int, ...], n_rows: int) -> list[tuple[int, ...]]:
-    """Consecutive k values whose models a fold fits together within GBT_GROUP_ELEMENTS.
+    """Consecutive k values whose models a fold fits together within LOCKSTEP_GROUP_ELEMENTS.
 
     A k whose own n_rows * k exceeds the budget forms a group of one.
     """
     groups: list[list[int]] = [[]]
     for k in k_values:
-        if groups[-1] and n_rows * (sum(groups[-1]) + k) > GBT_GROUP_ELEMENTS:
+        if groups[-1] and n_rows * (sum(groups[-1]) + k) > LOCKSTEP_GROUP_ELEMENTS:
             groups.append([])
         groups[-1].append(k)
     return [tuple(group) for group in groups]

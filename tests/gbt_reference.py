@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fbcsurv.classifiers.splits import BinnedMatrix, argbest
+from fbcsurv.classifiers.splits import BinnedMatrix
 
+from cart_reference import argbest
 from tree_reference import Node, apply
 
 _PRIOR_EPS = 1e-12

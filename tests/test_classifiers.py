@@ -13,9 +13,10 @@ from fbcsurv.classifiers import (
     fit_model,
     predict,
 )
-from fbcsurv.classifiers.adaboost import best_stump
 from fbcsurv.classifiers.splits import BinnedMatrix
 from fbcsurv.classifiers.tree import NewtonGrower
+
+from adaboost_reference import best_stump
 
 HP = Hyperparameters()
 DT, ADA, GBT = ModelFamily.DECISION_TREE, ModelFamily.ADABOOST, ModelFamily.GBT
@@ -393,15 +394,33 @@ def test_load_rejects_malformed_trees(edit):
         TrainedModel.from_dict({**saved, "params": BAD_TREE_EDITS[edit](saved["params"])})
 
 
+# name -> (family, edit of the saved params). Before these checks a fallback_class 7, a NaN alpha and a
+# null init_score loaded silently, and a string value or a missing key failed only in numpy or as a KeyError.
+BAD_ENSEMBLE_EDITS = {
+    "extra_alpha": (ADA, lambda p: {**p, "alphas": p["alphas"] + [1.0]}),
+    "fallback_class_7": (ADA, lambda p: {"stumps": [], "alphas": [], "fallback_class": 7}),
+    "fallback_class_true": (ADA, lambda p: {**p, "fallback_class": True}),
+    "nan_alpha": (ADA, lambda p: {**p, "alphas": [math.nan]}),
+    "string_alpha": (ADA, lambda p: {**p, "alphas": ["1.0"]}),
+    "missing_alphas": (ADA, lambda p: {name: v for name, v in p.items() if name != "alphas"}),
+    "tree_with_bad_feature": (GBT, lambda p: {**p, "trees": [_edited(p["trees"][0], "feature", 0, 1)] + p["trees"][1:]}),
+    "null_init_score": (GBT, lambda p: {**p, "init_score": None}),
+    "infinite_init_score": (GBT, lambda p: {**p, "init_score": math.inf}),
+    "string_learning_rate": (GBT, lambda p: {**p, "learning_rate": "0.1"}),
+    "zero_learning_rate": (GBT, lambda p: {**p, "learning_rate": 0.0}),
+    "learning_rate_above_one": (GBT, lambda p: {**p, "learning_rate": 1.5}),
+    "missing_trees": (GBT, lambda p: {name: v for name, v in p.items() if name != "trees"}),
+}
+
+
 def test_load_rejects_malformed_ensembles():
     X, y = _separable_1d()
-    ada = fit_model(ADA, X, y, HP).to_dict()
-    with pytest.raises(ValueError, match="alpha per stump"):
-        TrainedModel.from_dict({**ada, "params": {**ada["params"], "alphas": ada["params"]["alphas"] + [1.0]}})
-    gbt = fit_model(GBT, X, y, Hyperparameters(gbt_rounds=2, gbt_depth=1)).to_dict()
-    trees = [_edited(gbt["params"]["trees"][0], "feature", 0, 1)] + gbt["params"]["trees"][1:]
-    with pytest.raises(ValueError, match="split feature"):
-        TrainedModel.from_dict({**gbt, "params": {**gbt["params"], "trees": trees}})
+    saved = {family: fit_model(family, X, y, Hyperparameters(gbt_rounds=2, gbt_depth=1)).to_dict() for family in (ADA, GBT)}
+    assert saved[ADA]["params"]["alphas"] and saved[GBT]["params"]["trees"]
+    for family, edit in BAD_ENSEMBLE_EDITS.values():
+        TrainedModel.from_dict(saved[family])
+        with pytest.raises(ValueError):
+            TrainedModel.from_dict({**saved[family], "params": edit(saved[family]["params"])})
 
 
 def test_unbounded_tree_deeper_than_the_recursion_limit_saves_and_dumps(tmp_path):

@@ -1,5 +1,5 @@
-"""The one group fit path for every family, and the lockstep Newton grower against the per-node
-reference and a brute-force split oracle."""
+"""The one group fit path for every family, and the level-wise grower's CART trees, AdaBoost stumps
+and Newton trees against the per-node references and a brute-force split oracle."""
 
 import json
 
@@ -9,9 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fbcsurv.classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_group, fit_model, predict
 from fbcsurv.classifiers.splits import BinnedMatrix
-from fbcsurv.classifiers.tree import NewtonGrower
-from fbcsurv.evaluation import GBT_GROUP_ELEMENTS, _lockstep_groups
+from fbcsurv.classifiers.tree import NewtonGrower, StumpGrower
+from fbcsurv.evaluation import LOCKSTEP_GROUP_ELEMENTS, _lockstep_groups
 
+from adaboost_reference import best_stump, fit_adaboost_ensemble
+from cart_reference import grow_classification_tree
 from gbt_reference import fit_gbt_reference, grow_regression_tree
 from tree_reference import nodes_from_tree
 
@@ -105,7 +107,15 @@ EDGE_CASES = {
     "single_row": (np.array([[3, 4]]), np.array([1]), Hyperparameters(tree_min_leaf=1)),
     "constant_columns": (np.full((8, 3), 2), np.array([0, 1, 1, 0, 1, 1, 0, 1]), Hyperparameters()),
     "min_leaf_above_half": (_X_20, _Y_20, Hyperparameters(tree_min_leaf=11)),
+    "unbounded_depth": (_X_20, _Y_20, Hyperparameters(tree_max_depth=None, tree_min_leaf=1)),
+    "depth_one": (_X_20, _Y_20, Hyperparameters(tree_max_depth=1, tree_min_leaf=1)),
+    # column 2 separates the classes: the k=3 model stops on a perfect first stump, the others boost on
+    "perfect_stump": (np.column_stack((_X_20[:, :2], 3 * _Y_20)), _Y_20, Hyperparameters()),
+    # column 0 is constant and the classes balanced: the k=1 model stops at once, the k=2 model boosts on
+    "first_stump_error_half_in_one_model": (np.column_stack((np.full(20, 2), _X_20[:, 0])), _Y_20, Hyperparameters()),
 }
+# AdaBoost stumps kept per k, for the cases whose models stop in different rounds
+STUMPS_KEPT = {"perfect_stump": [50, 50, 1], "first_stump_error_half_in_one_model": [0, 50]}
 
 
 @pytest.mark.parametrize("case", EDGE_CASES)
@@ -118,6 +128,68 @@ def test_group_fit_edge_cases(family, case):
         assert all(model.model.stumps == [] for model in models)
     if family is ModelFamily.DECISION_TREE and case in ("single_row", "constant_columns", "min_leaf_above_half"):
         assert all(model.model.feature.tolist() == [-1] for model in models)
+
+
+def _check_group_against_references(family, X, y, hp, ks):
+    """Each group model and its training classes equal the per-node reference fit on its columns, bit for bit."""
+    names = tuple(f"f{j}" for j in range(X.shape[1]))
+    models, train_classes = fit_group(family, BinnedMatrix(X), y, hp, ks, names)
+    for model, classes, k in zip(models, train_classes, ks):
+        bm = BinnedMatrix(X[:, :k])
+        if family is ModelFamily.DECISION_TREE:
+            reference, reference_classes = grow_classification_tree(bm, y, hp.tree_max_depth, hp.tree_min_leaf)
+        else:
+            reference, reference_classes = fit_adaboost_ensemble(bm, y, hp.ada_rounds)
+            assert model.model.alphas == reference.alphas
+            assert model.model.weighted_errors == reference.weighted_errors
+            assert model.model.weight_sums == reference.weight_sums
+        assert json.dumps(model.model.to_dict(), sort_keys=True) == json.dumps(reference.to_dict(), sort_keys=True)
+        assert np.array_equal(classes, reference_classes)
+    return models
+
+
+REFERENCE_FAMILIES = [pytest.param(family, id=family.value) for family in (ModelFamily.DECISION_TREE, ModelFamily.ADABOOST)]
+
+
+@pytest.mark.parametrize("family", REFERENCE_FAMILIES)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_lockstep_trees_and_stumps_match_per_node_references(family, data):
+    X = data.draw(integer_matrices())
+    n, d = X.shape
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    hp = Hyperparameters(
+        tree_max_depth=data.draw(st.sampled_from([None, 1, 2, 4])),
+        tree_min_leaf=data.draw(st.integers(1, n)),
+        ada_rounds=data.draw(st.integers(0, 12)),
+    )
+    _check_group_against_references(family, X, y, hp, data.draw(prefix_groups(d)))
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+@pytest.mark.parametrize("family", REFERENCE_FAMILIES)
+def test_edge_cases_match_per_node_references(family, case):
+    X, y, hp = EDGE_CASES[case]
+    models = _check_group_against_references(family, X, y, hp, tuple(range(1, X.shape[1] + 1)))
+    if family is ModelFamily.ADABOOST and case in STUMPS_KEPT:
+        assert [len(model.model.stumps) for model in models] == STUMPS_KEPT[case]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_lockstep_stumps_match_best_stump_for_arbitrary_weights(data):
+    X = data.draw(integer_matrices())
+    n, d = X.shape
+    ks = data.draw(prefix_groups(d))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    w = [np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) for _ in ks]
+    grower = StumpGrower(BinnedMatrix(X), ks, y)
+    classes = np.empty((len(ks), n))
+    grower.grow(w, classes)
+    for stumps, model_classes, model_w, k in zip(grower.pop_trees(), classes, w, ks):
+        stump, _, expected_classes = best_stump(BinnedMatrix(X[:, :k]), y, model_w)
+        assert json.dumps(stumps[0].to_dict()) == json.dumps(stump.to_dict())
+        assert np.array_equal(model_classes, expected_classes)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -291,9 +363,9 @@ def test_lockstep_groups_respect_the_element_budget():
     k_values = tuple(range(5, 26))
     groups = _lockstep_groups(k_values, 424)
     assert tuple(k for group in groups for k in group) == k_values
-    assert all(424 * sum(group) <= GBT_GROUP_ELEMENTS for group in groups)
+    assert all(424 * sum(group) <= LOCKSTEP_GROUP_ELEMENTS for group in groups)
     # a group cannot take the next k without going over the budget
-    assert all(424 * (sum(group) + nxt[0]) > GBT_GROUP_ELEMENTS for group, nxt in zip(groups, groups[1:]))
+    assert all(424 * (sum(group) + nxt[0]) > LOCKSTEP_GROUP_ELEMENTS for group, nxt in zip(groups, groups[1:]))
     # at large n every model boosts alone, and an oversized k still gets its group of one
     assert _lockstep_groups((5, 6, 7), 4500) == [(5,), (6,), (7,)]
     assert _lockstep_groups((25,), 10**6) == [(25,)]
