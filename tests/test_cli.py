@@ -1,10 +1,13 @@
 import json
 import os
+from datetime import date
 
 import pytest
 
+import fbcsurv.cohort
 import fbcsurv.evaluation
 from fbcsurv.cli import main
+from fbcsurv.cohort import CohortError, ingest_cohort
 
 from conftest import write_csvs
 
@@ -229,3 +232,46 @@ def test_evaluate_rejects_nan_gbt_l2(cohort_dir, tmp_path, capsys):
     code, _, err = run(capsys, "evaluate", "--in", str(cohort_dir), "--out", str(tmp_path / "o"), "--gbt-l2", "nan")
     assert code == 1
     assert err.startswith("error: gbt_l2 must be finite")
+
+
+def test_stages_load_the_sidecar_instead_of_parsing(cohort_dir, tmp_path, monkeypatch):
+    def no_parse(*args):
+        raise AssertionError("read_cohort parsed the CSVs instead of loading cohort.npz")
+
+    monkeypatch.setattr(fbcsurv.cohort, "ingest_cohort", no_parse)
+    ingested = tmp_path / "ingested"
+    assert main(["ingest", "--in", str(cohort_dir), "--out", str(ingested)]) == 0
+    evaluate = ["--seed", "5", "--k-min", "5", "--k-max", "5", "--versions", "v1", "--ada-rounds", "5", "--gbt-rounds", "5"]
+    for command, extra in (("stats", []), ("label", []), ("features", []), ("evaluate", evaluate)):
+        assert main([command, "--in", str(ingested), "--out", str(tmp_path / command), *extra]) == 0
+
+
+def test_data_end_date_before_an_observation_gives_the_parser_message(cohort_dir, tmp_path, capsys):
+    with pytest.raises(CohortError) as parsed:
+        ingest_cohort(cohort_dir / "patients.csv", cohort_dir / "observations.csv", date(2015, 1, 1))
+    code, _, err = run(capsys, "stats", "--in", str(cohort_dir), "--out", str(tmp_path / "s"), "--data-end-date", "2015-01-01")
+    assert code == 1
+    assert err == f"error: {parsed.value}\n"
+    assert "is after data_end_date 2015-01-01" in err
+
+
+@pytest.mark.parametrize(
+    "meta_text, problem",
+    [
+        ("{}\n", "missing field 'data_end_date'"),
+        ('{"data_end_date": 20181231}\n', "field 'data_end_date': must be a YYYY-MM-DD date string, got 20181231"),
+        ('{"data_end_date": "31/12/2018"}\n', "field 'data_end_date': must be a YYYY-MM-DD date string, got '31/12/2018'"),
+        ("", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["missing_field", "not_a_string", "bad_date", "invalid_json"],
+)
+def test_malformed_meta_names_the_file(tmp_path, capsys, meta_text, problem):
+    write_csvs(
+        tmp_path,
+        "patient_id,sex,age_at_diagnosis,diagnosis_date,death_date\nP1,M,67,2012-06-01,\n",
+        "patient_id,measure,value,date,ref_low,ref_high\n",
+    )
+    (tmp_path / "meta.json").write_text(meta_text)
+    code, _, err = run(capsys, "stats", "--in", str(tmp_path), "--out", str(tmp_path / "s"))
+    assert code == 1
+    assert err == f"error: {tmp_path / 'meta.json'}: {problem}\n"

@@ -1,12 +1,21 @@
-from datetime import date
+import dataclasses
+import io
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fbcsurv.cohort
 from fbcsurv.cohort import (
     MEASURE_CODE,
+    SIDECAR,
     CohortError,
     Measure,
     MEASURES,
+    Observations,
     SurvivalStatus,
     apply_followup_filter,
     apply_inclusion_filters,
@@ -16,7 +25,41 @@ from fbcsurv.cohort import (
     write_cohort,
 )
 
+from fbcsurv.synth import GeneratorConfig, generate
+
 from conftest import DATA_END, full_panel_readings, make_cohort, make_patient, write_csvs
+
+
+def parse(cohort_dir: Path, data_end_date: date):
+    return ingest_cohort(cohort_dir / "patients.csv", cohort_dir / "observations.csv", data_end_date)
+
+
+def outcome(read):
+    """What a read gives: the cohort, or the type and text of what it raised."""
+    try:
+        return read()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The arguments of every CSV parse that read_cohort falls back to."""
+    calls = []
+    real = fbcsurv.cohort.ingest_cohort
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fbcsurv.cohort, "ingest_cohort", counting)
+    return calls
+
+
+@pytest.fixture
+def synth_dir(tmp_path) -> Path:
+    write_cohort(generate(GeneratorConfig(n_patients=12, seed=3)), tmp_path / "cohort")
+    return tmp_path / "cohort"
 
 
 def test_ingest_two_patient_fixture(two_patient_files):
@@ -203,13 +246,12 @@ def test_survival_label_boundary(death_offset, expected):
 
 
 def test_roundtrip_write_read(tmp_path):
-    from fbcsurv.synth import GeneratorConfig, generate
-
     cohort = generate(GeneratorConfig(n_patients=25, seed=42))
     write_cohort(cohort, tmp_path)
-    again = read_cohort(tmp_path)
-    assert again == cohort
-    write_cohort(again, tmp_path / "second")
+    parsed = parse(tmp_path, cohort.data_end_date)
+    assert parsed == cohort
+    assert read_cohort(tmp_path) == parsed  # through the sidecar
+    write_cohort(parsed, tmp_path / "second")
     assert (tmp_path / "patients.csv").read_bytes() == (tmp_path / "second" / "patients.csv").read_bytes()
     assert (tmp_path / "observations.csv").read_bytes() == (tmp_path / "second" / "observations.csv").read_bytes()
 
@@ -224,3 +266,170 @@ def test_read_cohort_requires_end_date(tmp_path):
         read_cohort(tmp_path)
     cohort = read_cohort(tmp_path, data_end_date=DATA_END)
     assert len(cohort) == 0
+
+
+def test_write_cohort_saves_a_sidecar_that_read_cohort_trusts(synth_dir, parses):
+    assert (synth_dir / SIDECAR).is_file()
+    cohort = read_cohort(synth_dir)
+    assert parses == []
+    assert cohort == parse(synth_dir, cohort.data_end_date)
+    # np.load drops the buffer dtype's align flag; without it the joined slices get another dtype
+    assert np.concatenate([p.observations.rows for p in cohort.patients]).dtype == fbcsurv.cohort.OBSERVATION_DTYPE
+
+
+def test_edited_observations_are_parsed_again(synth_dir, parses):
+    path = synth_dir / "observations.csv"
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    fields = first.split(",")
+    path.write_text(header + ",".join([*fields[:2], "123.5", *fields[3:]]) + "".join(rest))
+    cohort = read_cohort(synth_dir)
+    assert len(parses) == 1
+    assert cohort.patients[0].observations.value[0] == 123.5
+
+    path.write_text(header + ",".join([*fields[:2], "-1", *fields[3:]]) + "".join(rest))
+    with pytest.raises(CohortError) as excinfo:
+        read_cohort(synth_dir)
+    assert str(excinfo.value) == f"{path}:2: field 'value': must be non-negative, got -1.0"
+
+
+def _rewrite_sidecar(path: Path, **changes) -> None:
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(changes)
+    arrays = {name: array for name, array in arrays.items() if array is not None}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _flip_middle_byte(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _write_npy(path: Path) -> None:
+    buffer = io.BytesIO()
+    np.save(buffer, np.arange(3))
+    path.write_bytes(buffer.getvalue())
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+        lambda path: path.write_bytes(b"not a numpy archive"),
+        lambda path: path.write_bytes(b""),
+        _write_npy,
+        _flip_middle_byte,
+        lambda path: _rewrite_sidecar(path, version=np.int64(fbcsurv.cohort.SIDECAR_VERSION + 1)),
+        lambda path: _rewrite_sidecar(path, version=np.str_(str(fbcsurv.cohort.SIDECAR_VERSION))),
+        lambda path: _rewrite_sidecar(path, death=None),
+        lambda path: _rewrite_sidecar(path, counts=np.zeros(1, np.int64)),
+    ],
+    ids=["truncated", "garbage", "empty", "npy_file", "flipped_byte", "wrong_version", "str_version",
+         "missing_array", "short_column"],
+)
+def test_spoiled_sidecar_falls_back_to_the_parse(synth_dir, parses, spoil):
+    expected = parse(synth_dir, DATA_END)
+    spoil(synth_dir / SIDECAR)
+    assert read_cohort(synth_dir) == expected
+    assert len(parses) == 1
+
+
+def test_data_end_date_before_an_observation_gives_the_parser_message(synth_dir, parses):
+    end = date(2015, 1, 1)
+    with pytest.raises(CohortError) as parsed:
+        parse(synth_dir, end)
+    assert "after data_end_date 2015-01-01" in str(parsed.value)
+    with pytest.raises(CohortError) as read:
+        read_cohort(synth_dir, data_end_date=end)
+    assert str(read.value) == str(parsed.value)
+    assert len(parses) == 1
+
+
+def _with_observation(patient, **columns):
+    rows = patient.observations.rows.copy()
+    for name, value in columns.items():
+        rows[name][0] = value
+    return dataclasses.replace(patient, observations=Observations(rows))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: _with_observation(p, value=-2.0),
+        lambda p: _with_observation(p, value=float("nan")),
+        lambda p: _with_observation(p, value=float("inf")),
+        lambda p: _with_observation(p, ref_low=500.0),
+        lambda p: _with_observation(p, measure=-1),  # written as RDW
+        lambda p: dataclasses.replace(p, patient_id=" P1"),
+        lambda p: dataclasses.replace(p, patient_id="P\r1"),
+        lambda p: dataclasses.replace(p, patient_id="P1\x00"),
+        lambda p: dataclasses.replace(p, patient_id="P2"),  # a duplicate
+        lambda p: dataclasses.replace(p, patient_id=""),
+        lambda p: dataclasses.replace(p, age_at_diagnosis=-1),
+        lambda p: dataclasses.replace(p, age_at_diagnosis=10**20),  # no int64 column holds it
+        lambda p: dataclasses.replace(p, death_date=p.diagnosis_date - timedelta(days=1)),
+    ],
+    ids=["negative_value", "nan_value", "inf_value", "inverted_range", "negative_measure", "padded_id", "id_with_cr",
+         "id_with_nul", "duplicate_id", "empty_id", "negative_age", "huge_age",
+         "death_before_diagnosis"],
+)
+def test_api_built_cohort_reads_the_same_with_and_without_sidecar(tmp_path, edit):
+    patients = [make_patient(f"P{i}", readings=full_panel_readings()) for i in (1, 2)]
+    write_cohort(make_cohort([edit(patients[0]), patients[1]]), tmp_path)
+    with_sidecar = outcome(lambda: read_cohort(tmp_path))
+    (tmp_path / SIDECAR).unlink(missing_ok=True)
+    assert with_sidecar == outcome(lambda: read_cohort(tmp_path))
+
+
+def _edit_observation(column: str, value):
+    return lambda patient: _with_observation(patient, **{column: value})
+
+
+COHORT_EDITS = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 1e300, float("nan"), float("inf")]).map(lambda v: _edit_observation("value", v)),
+    st.sampled_from([0.0, 1e9, float("-inf")]).map(lambda v: _edit_observation("ref_low", v)),
+    st.integers(-5, -1).map(lambda code: _edit_observation("measure", code)),
+    st.integers(DATA_END.toordinal() - 4000, DATA_END.toordinal() + 5).map(lambda day: _edit_observation("day", day)),
+    st.text(" \t\r\n\x00\u2028,\"P12", max_size=4).map(lambda pid: lambda p: dataclasses.replace(p, patient_id=pid)),
+    st.integers(-2, 120).map(lambda age: lambda p: dataclasses.replace(p, age_at_diagnosis=age)),
+    st.one_of(st.none(), st.integers(-30, 30)).map(
+        lambda days: lambda p: dataclasses.replace(
+            p, death_date=None if days is None else p.diagnosis_date + timedelta(days=days)
+        )
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+    edits=st.lists(st.tuples(st.integers(0, 4), COHORT_EDITS), max_size=3),
+    file_edit=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(["patients.csv", "observations.csv"]), st.integers(0, 10_000), st.sampled_from(b",-x9.\n")),
+    ),
+    end_shift=st.one_of(st.none(), st.integers(0, 2500)),
+)
+def test_sidecar_read_equals_the_parse(n, seed, edits, file_edit, end_shift):
+    cohort = generate(GeneratorConfig(n_patients=n, seed=seed, obs_count_range=(1, 3)))
+    patients = list(cohort.patients)
+    for i, edit in edits:
+        patients[i % n] = edit(patients[i % n])
+    end = None if end_shift is None else cohort.data_end_date - timedelta(days=end_shift)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_cohort(dataclasses.replace(cohort, patients=tuple(patients)), out)
+        if file_edit is not None:
+            name, at, byte = file_edit
+            data = bytearray((out / name).read_bytes())
+            data[at % len(data)] = byte
+            (out / name).write_bytes(bytes(data))
+        parsed = outcome(lambda: parse(out, end or cohort.data_end_date))
+        trusted = fbcsurv.cohort._load_sidecar(out, end or cohort.data_end_date)
+        assert trusted is None or trusted == parsed
+        if not edits and file_edit is None and end is None:
+            assert trusted is not None
+        assert outcome(lambda: read_cohort(out, end)) == parsed

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from fbcsurv.cohort import MEASURES, Measure, SurvivalStatus, apply_inclusion_filters, read_cohort, survival_label, write_cohort
+from fbcsurv.cohort import (
+    MEASURES,
+    Measure,
+    SurvivalStatus,
+    apply_inclusion_filters,
+    ingest_cohort,
+    read_cohort,
+    survival_label,
+    write_cohort,
+)
 from fbcsurv.labeling import Group, assign_group
 from fbcsurv.synth import (
     DATA_END_DATE,
@@ -29,7 +38,9 @@ def test_same_seed_identical_cohorts_and_files(tmp_path):
 def test_generated_cohorts_pass_ingestion(tmp_path):
     cohort = generate(GeneratorConfig(n_patients=35, seed=77))
     write_cohort(cohort, tmp_path)
-    assert read_cohort(tmp_path) == cohort  # read_cohort runs full validation
+    parsed = ingest_cohort(tmp_path / "patients.csv", tmp_path / "observations.csv", cohort.data_end_date)
+    assert parsed == cohort  # ingest_cohort runs full validation
+    assert read_cohort(tmp_path) == parsed  # through the cohort.npz sidecar
 
 
 def test_all_patients_pass_inclusion_filters():
