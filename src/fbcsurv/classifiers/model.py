@@ -1,4 +1,11 @@
-"""The one fit dispatch and predict contract over the three model families, and the saved-model JSON."""
+"""The one fit dispatch and predict contract over the three model families, and the saved-model JSON.
+
+Every family's model is a `TreeEnsemble`, so scoring, saving and loading do
+not depend on the family: a model saves as `{"family", "feature_names",
+"params"}` with `params = {"init_score", "weights", "trees"}`. The family
+only picks the fit and, at load, requires a decision tree to be one tree
+that keeps `n1`, the class-1 counts its dump reads.
+"""
 
 from __future__ import annotations
 
@@ -10,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaboost import AdaBoostEnsemble, fit_adaboost_ensembles
-from .gbt import GbtEnsemble, fit_gbt_ensembles
+from .adaboost import fit_adaboost_ensembles
+from .gbt import fit_gbt_ensembles
 from .splits import BinnedMatrix
-from .tree import GiniGrower, Tree
+from .tree import GiniGrower, TreeEnsemble
 
 
 class ModelFamily(Enum):
@@ -57,7 +64,7 @@ class Hyperparameters:
 class TrainedModel:
     family: ModelFamily
     feature_names: tuple[str, ...]
-    model: Tree | AdaBoostEnsemble | GbtEnsemble
+    model: TreeEnsemble
 
     def to_dict(self) -> dict:
         return {
@@ -68,12 +75,12 @@ class TrainedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedModel":
-        """A model as `to_dict` writes it; malformed trees are a ValueError (see `Tree.from_dict`)."""
+        """A model as `to_dict` writes it; a malformed one is a ValueError (see `TreeEnsemble.from_dict`)."""
         family = ModelFamily(d["family"])
         feature_names = tuple(d["feature_names"])
-        model = _MODEL_TYPES[family].from_dict(d["params"], len(feature_names))
-        if family is ModelFamily.DECISION_TREE and (model.n1 is None or model.p is None):
-            raise ValueError("a decision tree needs its n1 and p arrays")
+        model = TreeEnsemble.from_dict(d["params"], len(feature_names))
+        if family is ModelFamily.DECISION_TREE and (len(model.trees) != 1 or model.trees[0].n1 is None):
+            raise ValueError("a decision tree needs n1 and exactly one tree")
         return cls(family=family, feature_names=feature_names, model=model)
 
     def save(self, path: str | Path) -> None:
@@ -85,9 +92,6 @@ class TrainedModel:
     def load(cls, path: str | Path) -> "TrainedModel":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-_MODEL_TYPES = {ModelFamily.DECISION_TREE: Tree, ModelFamily.ADABOOST: AdaBoostEnsemble, ModelFamily.GBT: GbtEnsemble}
 
 
 def _int_matrix(X: np.ndarray) -> np.ndarray:
@@ -123,7 +127,8 @@ def fit_group(
     if family is ModelFamily.GBT:
         fits = fit_gbt_ensembles(binned, ks, y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2)
     elif family is ModelFamily.DECISION_TREE:
-        fits = GiniGrower(binned, ks, y, hp.tree_max_depth, hp.tree_min_leaf).grow()
+        trees = GiniGrower(binned, ks, y, hp.tree_max_depth, hp.tree_min_leaf).grow()
+        fits = [(TreeEnsemble(0.0, [1.0], [tree]), classes) for tree, classes in trees]
     else:
         fits = fit_adaboost_ensembles(binned, ks, y, hp.ada_rounds)
     models = [TrainedModel(family, tuple(names[:k]), model) for k, (model, _) in zip(ks, fits)]
@@ -159,11 +164,10 @@ def predict(model: TrainedModel, X: np.ndarray, columns: tuple[str, ...] | None 
         raise ValueError(
             f"column mismatch: model expects {len(model.feature_names)} columns, got {X.shape[1]}"
         )
-    # a decision tree's leaf payload is its class
-    return model.model.predict(X).astype(np.int64, copy=False)
+    return (model.model.decision_scores(X) > 0).astype(np.int64)
 
 
 def decision_tree_dump(model: TrainedModel) -> str:
     if model.family is not ModelFamily.DECISION_TREE:
         raise ValueError("tree dump is only defined for decision-tree models")
-    return model.model.dump(model.feature_names)
+    return model.model.trees[0].dump(model.feature_names)

@@ -1,12 +1,15 @@
-"""The flat array tree every model family shares, the one level-wise grower, and the prediction walk.
+"""The flat array tree every model family shares, the one model built from such trees, the one
+level-wise grower, and the prediction walk.
 
-`LevelGrower` grows the trees of all three families, for a group of models
-at once, one histogram pass per tree level; `GiniGrower` (CART),
-`StumpGrower` (AdaBoost) and `NewtonGrower` (GBT) supply each family's
-totals, gain, acceptance rule and node values. Ties during split search are
-broken deterministically: lowest feature index first, then lowest threshold.
-Growth, prediction, serialisation and the dump are iterative, so
-unbounded-depth trees cannot hit the interpreter recursion limit.
+Every family's model is a `TreeEnsemble`: a start score plus weighted tree
+leaf values, with class = score > 0. `LevelGrower` grows the trees of all
+three families, for a group of models at once, one histogram pass per tree
+level; `GiniGrower` (CART), `StumpGrower` (AdaBoost) and `NewtonGrower` (GBT)
+supply each family's totals, gain, acceptance rule and node values. Ties
+during split search are broken deterministically: lowest feature index
+first, then lowest threshold. Growth, prediction, serialisation and the dump
+are iterative, so unbounded-depth trees cannot hit the interpreter recursion
+limit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .splits import BinnedMatrix
 
 # (tree, row) pairs a prediction walk holds at once, so its temporaries stay small
 _WALK_PAIRS = 1 << 14
-# per-node arrays and their dtypes; n1 and p are kept by CART trees only
+# per-node arrays and their dtypes; n1 is kept by CART trees only
 _ARRAYS = {
     "feature": np.int64,
     "threshold": np.float64,
@@ -31,18 +34,11 @@ _ARRAYS = {
     "value": np.float64,
     "n": np.int64,
     "n1": np.int64,
-    "p": np.float64,
 }
+_ENSEMBLE_KEYS = ("init_score", "weights", "trees")
 
 
-def check_saved_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
-    """Raise ValueError unless the saved model d has every key."""
-    missing = [key for key in keys if key not in d]
-    if missing:
-        raise ValueError(f"{what} needs the keys {list(keys)}; {missing} missing")
-
-
-def is_finite_number(value) -> bool:
+def _is_finite_number(value) -> bool:
     """True for a finite int or float; False for a bool, a string, None, NaN or an infinity."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
@@ -53,10 +49,10 @@ class Tree:
 
     An inner node sends a row to `left` when X[row, feature] <= threshold and
     to `right` otherwise. A leaf has feature, left and right -1. `value` is
-    the leaf payload: the class (0.0 or 1.0) of a CART tree or an AdaBoost
-    stump, the weight of a Newton regression tree. `n` counts the training
-    rows that reached each node. A CART tree also keeps `n1`, the class-1
-    rows among them, and `p`, the share of the node's class.
+    the leaf payload: the class (0.0 or 1.0) of a CART tree, the vote (-1.0
+    or +1.0) of an AdaBoost stump, the weight of a Newton regression tree.
+    `n` counts the training rows that reached each node. A CART tree also
+    keeps `n1`, the class-1 rows among them.
     """
 
     feature: np.ndarray
@@ -66,11 +62,6 @@ class Tree:
     value: np.ndarray
     n: np.ndarray
     n1: np.ndarray | None = None
-    p: np.ndarray | None = None
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf payload of every row of X."""
-        return next(predict_trees([self], X))
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in _ARRAYS if getattr(self, name) is not None}
@@ -84,8 +75,10 @@ class Tree:
         n_features and has both children after it in the arrays, so every
         walk from the root ends in a leaf.
         """
-        if not set(_ARRAYS) - {"n1", "p"} <= set(d) <= set(_ARRAYS):
-            raise ValueError(f"a tree needs the arrays {list(_ARRAYS)[:6]}, optionally n1 and p; got {sorted(d)}")
+        if not isinstance(d, dict):
+            raise ValueError("a tree must be a JSON object of per-node arrays")
+        if not set(_ARRAYS) - {"n1"} <= set(d) <= set(_ARRAYS):
+            raise ValueError(f"a tree needs the arrays {list(_ARRAYS)[:6]}, optionally n1; got {sorted(d)}")
         try:
             tree = cls(**{name: np.asarray(values, dtype=_ARRAYS[name]) for name, values in d.items()})
         except (TypeError, ValueError) as exc:
@@ -113,11 +106,64 @@ class Tree:
             if node is None:
                 lines.append(f"{pad}else")
             elif self.feature[node] < 0:
-                lines.append(f"{pad}leaf class={self.value[node]:.0f} p={self.p[node]:.4f} n={self.n[node]}")
+                value, n, n1 = self.value[node], self.n[node], self.n1[node]
+                # the share of the leaf's class among its training rows
+                p = (n1 if value > 0 else n - n1) / n
+                lines.append(f"{pad}leaf class={value:.0f} p={p:.4f} n={n}")
             else:
                 lines.append(f"{pad}if {feature_names[self.feature[node]]} <= {self.threshold[node]:g}")
                 stack += [(self.right[node], pad + "    "), (None, pad), (self.left[node], pad + "    ")]
         return "\n".join(lines)
+
+
+@dataclass(eq=False)
+class TreeEnsemble:
+    """The one model of every family: a start score plus weighted tree leaf values.
+
+    A row's score is init_score plus weights[t] times its leaf value in
+    trees[t], added tree by tree in fit order; its class is score > 0. A CART
+    model is one tree of class leaves with weight 1.0; an AdaBoost model
+    weighs its stumps' votes by their alphas; a GBT model starts at the
+    log-odds prior and weighs every tree by the learning rate.
+    """
+
+    init_score: float
+    weights: list[float]
+    trees: list[Tree]
+    # training diagnostics, recorded during fit and never saved; empty where a family has none:
+    # GBT's mean loss after 0, 1, ..., n rounds, AdaBoost's weighted error and weight sum per round
+    train_losses: list[float] = field(default_factory=list)
+    weighted_errors: list[float] = field(default_factory=list)
+    weight_sums: list[float] = field(default_factory=list)
+
+    def decision_scores(self, X: np.ndarray) -> np.ndarray:
+        scores = np.full(len(X), self.init_score, dtype=np.float64)
+        for weight, values in zip(self.weights, predict_trees(self.trees, X)):
+            scores += weight * values
+        return scores
+
+    def to_dict(self) -> dict:
+        return {"init_score": self.init_score, "weights": self.weights, "trees": [t.to_dict() for t in self.trees]}
+
+    @classmethod
+    def from_dict(cls, d: dict, n_features: int) -> "TreeEnsemble":
+        """A model as `to_dict` writes it, over n_features columns; each tree is checked by `Tree.from_dict`.
+
+        Raises ValueError unless d has exactly the keys init_score, weights
+        and trees, init_score is a finite number, and weights holds one
+        finite number per tree.
+        """
+        if not isinstance(d, dict) or sorted(d) != sorted(_ENSEMBLE_KEYS):
+            raise ValueError(f"a model's params need exactly the keys {list(_ENSEMBLE_KEYS)}")
+        weights, trees = d["weights"], d["trees"]
+        if not _is_finite_number(d["init_score"]):
+            raise ValueError("a model's init_score must be a finite number")
+        if not (isinstance(weights, list) and isinstance(trees, list) and len(weights) == len(trees)):
+            raise ValueError("a model needs a list of trees and one weight per tree")
+        if not all(map(_is_finite_number, weights)):
+            raise ValueError("a model's weights must be finite numbers")
+        trees = [Tree.from_dict(tree, n_features) for tree in trees]
+        return cls(float(d["init_score"]), [float(weight) for weight in weights], trees)
 
 
 def predict_trees(trees: list[Tree], X: np.ndarray) -> Iterator[np.ndarray]:
@@ -361,7 +407,7 @@ class GiniGrower(LevelGrower):
     than 2 * min_leaf is a leaf. Any other node splits on its best Gini gain,
     zero included, among the splits that leave min_leaf rows on each side.
     Every node's value is its majority class, ties predicting class 0, and
-    the tree keeps `n1` and `p`.
+    the tree keeps `n1`.
     """
 
     def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, max_depth: int | None, min_leaf: int):
@@ -401,7 +447,7 @@ class GiniGrower(LevelGrower):
 
     def _payload(self, n1, sizes, is_leaf):
         klass = 2 * n1 > sizes
-        return klass.astype(np.float64), n1, np.where(klass, n1, sizes - n1) / sizes
+        return klass.astype(np.float64), n1
 
 
 class StumpGrower(LevelGrower):
@@ -409,21 +455,22 @@ class StumpGrower(LevelGrower):
 
     The root splits on its minimum weighted error when that error is below
     the constant stump's; otherwise the stump is a single leaf. Every node's
-    value is its weighted majority class: the root's from each model's 1-D
-    weight sums, as boosting it alone takes them, the leaves' from the root's
-    histogram at the chosen bin.
+    value is the vote of its weighted majority class, +1.0 for class 1 and
+    -1.0 for class 0: the root's from each model's 1-D weight sums, as
+    boosting it alone takes them, the leaves' from the root's histogram at
+    the chosen bin.
     """
 
     def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray):
         super().__init__(bm, ks, n_channels=2)
         self.class_1 = y == 1
 
-    def grow(self, w: list[np.ndarray], row_classes: np.ndarray) -> None:
-        """Grow one round: a stump per model for its row weights w[m]; each row's class goes to row_classes."""
+    def grow(self, w: list[np.ndarray], row_votes: np.ndarray) -> None:
+        """Grow one round: a stump per model for its row weights w[m]; each row's vote goes to row_votes."""
         w1_totals = [float(wm[self.class_1].sum()) for wm in w]
         # per model: class-1 and class-0 weight
         self._root = np.array([(w1_total, float(wm.sum()) - w1_total) for w1_total, wm in zip(w1_totals, w)])
-        self._grow(([np.where(self.class_1, wm, 0.0) for wm in w], w), row_classes)
+        self._grow(([np.where(self.class_1, wm, 0.0) for wm in w], w), row_votes)
 
     def _nodes(self, depth, order, bounds, sizes, split_level):
         if split_level is None:
@@ -444,4 +491,4 @@ class StumpGrower(LevelGrower):
         return -err, valid, -np.minimum(totals[:, 1], totals[:, 0])
 
     def _payload(self, totals, sizes, is_leaf):
-        return ((totals[:, 0] > totals[:, 1]).astype(np.float64),)
+        return (np.where(totals[:, 0] > totals[:, 1], 1.0, -1.0),)

@@ -11,6 +11,7 @@ labeling classifies a whole cohort's observations in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +49,8 @@ class RangeStatus:
 
 
 def _shrink(low, high, margin: float):
+    if not math.isfinite(margin):
+        raise ValueError(f"soft_margin must be finite, got {margin}")
     m = margin * (high - low)
     return low + m, high - m
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -67,6 +67,14 @@ class GeneratorConfig:
     female_g3_boost: float = 0.06
 
     def validate(self) -> None:
+        for name in ("n_patients", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("p_oor_given_risk", "p_oor_given_no_risk", "range_jitter"):
+            missing = [m.value for m in MEASURES if m not in getattr(self, name)]
+            if missing:
+                raise ValueError(f"{name} needs a value for every measure; {missing} missing")
         if self.n_patients < 1:
             raise ValueError("n_patients must be >= 1")
         probs = [self.p_latent_high_risk, self.window_placement_bias, self.sex_ratio, *self.p_death_2y_by_group]
@@ -105,6 +113,11 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a generator config must be a JSON object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown generator config keys {sorted(unknown)}")
         kwargs = dict(d)
         if "p_oor_given_risk" in kwargs:
             kwargs["p_oor_given_risk"] = {Measure(k): v for k, v in kwargs["p_oor_given_risk"].items()}
@@ -217,5 +230,11 @@ def write_generator_config(config: GeneratorConfig, path: str | Path) -> None:
 
 
 def read_generator_config(path: str | Path) -> GeneratorConfig:
+    """The valid config saved at path; a file that holds none is a ValueError that names the path."""
     with open(path) as fh:
-        return GeneratorConfig.from_dict(json.load(fh))
+        try:
+            config = GeneratorConfig.from_dict(json.load(fh))
+            config.validate()
+        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return config

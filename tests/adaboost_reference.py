@@ -2,24 +2,35 @@
 
 This is the boosting loop the package used before the stumps of a group of
 models were grown in lockstep: every round, `best_stump` scans all rows of one
-model's `BinnedMatrix` and picks the stump with `argbest`. Tests require the
-package's stumps, alphas, per-round diagnostics and training classes to equal
-the ones computed here, bit for bit.
+model's `BinnedMatrix` and picks the stump with `argbest`. Its model keeps
+the layout the package had before every family became one `TreeEnsemble`:
+stumps whose leaves hold a class, their alphas and a fallback class. Tests
+require the package's stumps (each vote 2 * class - 1), weights, per-round
+diagnostics and training classes to equal the ones computed here, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from fbcsurv.classifiers.adaboost import AdaBoostEnsemble
 from fbcsurv.classifiers.splits import BinnedMatrix
 from fbcsurv.classifiers.tree import Tree
 
 from cart_reference import argbest
 
 _EPS = 1e-10
+
+
+@dataclass
+class ReferenceAdaBoost:
+    fallback_class: int  # every row's class when no stump is kept
+    stumps: list[Tree] = field(default_factory=list)
+    alphas: list[float] = field(default_factory=list)
+    weighted_errors: list[float] = field(default_factory=list)
+    weight_sums: list[float] = field(default_factory=list)
 
 
 def best_stump(bm: BinnedMatrix, y: np.ndarray, w: np.ndarray) -> tuple[Tree, float, np.ndarray]:
@@ -53,16 +64,16 @@ def best_stump(bm: BinnedMatrix, y: np.ndarray, w: np.ndarray) -> tuple[Tree, fl
     return Tree(*map(np.array, ([-1], [0.0], [-1], [-1], [majority], [n]))), constant_err, np.full(n, majority)
 
 
-def fit_adaboost_ensemble(bm: BinnedMatrix, y: np.ndarray, rounds: int) -> tuple[AdaBoostEnsemble, np.ndarray]:
+def fit_adaboost_ensemble(bm: BinnedMatrix, y: np.ndarray, rounds: int) -> tuple[ReferenceAdaBoost, np.ndarray]:
     """Boost stumps over the rows of bm with SAMME weight updates (alpha = log((1-err)/err) for 2 classes).
 
     Stops early on a perfect stump (kept, with the error clamped to eps for a
     large finite alpha) or when the weighted error reaches 0.5. Also returns
-    the ensemble's class for every training row, from the same scores
-    `decision_scores` adds up.
+    the ensemble's class for every training row, from its scores, or its
+    fallback class when it keeps no stump.
     """
     n = len(y)
-    ensemble = AdaBoostEnsemble(fallback_class=1 if int(y.sum()) * 2 > n else 0)
+    ensemble = ReferenceAdaBoost(fallback_class=1 if int(y.sum()) * 2 > n else 0)
     w = np.full(n, 1.0 / n, dtype=np.float64)
     scores = np.zeros(n, dtype=np.float64)
     for _ in range(rounds):

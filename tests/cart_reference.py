@@ -88,5 +88,5 @@ def grow_classification_tree(
     feature, threshold, left, right, n1 = (np.array(column) for column in zip(*nodes))
     n = np.array([len(idx) for idx, _ in rows])
     klass = 2 * n1 > n
-    tree = Tree(feature, threshold, left, right, klass.astype(np.float64), n, n1, np.where(klass, n1, n - n1) / n)
+    tree = Tree(feature, threshold, left, right, klass.astype(np.float64), n, n1)
     return tree, classes

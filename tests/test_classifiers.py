@@ -39,15 +39,16 @@ def test_tree_constant_target_is_single_leaf():
     X = np.array([[1], [2], [3]])
     y = np.array([1, 1, 1])
     model = fit_model(DT, X, y, HP)
-    assert model.model.feature.tolist() == [-1]
-    assert model.model.value.tolist() == [1.0]
+    assert (model.model.init_score, model.model.weights) == (0.0, [1.0])
+    assert model.model.trees[0].feature.tolist() == [-1]
+    assert model.model.trees[0].value.tolist() == [1.0]
     assert predict(model, X).tolist() == [1, 1, 1]
 
 
 def test_tree_separable_1d_is_depth_one():
     X, y = _separable_1d()
     model = fit_model(DT, X, y, Hyperparameters(tree_min_leaf=1))
-    tree = model.model
+    (tree,) = model.model.trees
     assert tree.feature.tolist() == [0, -1, -1]
     assert (tree.left[0], tree.right[0]) == (1, 2)
     assert tree.threshold[0] == 2.0
@@ -95,7 +96,7 @@ def test_root_split_gain_matches_brute_force_on_random_data():
         if brute is None:
             continue
         model = fit_model(DT, X, y, Hyperparameters(tree_max_depth=1, tree_min_leaf=1))
-        tree = model.model
+        (tree,) = model.model.trees
         if tree.feature[0] < 0:  # no candidate split existed
             continue
         mask = X[:, tree.feature[0]] <= tree.threshold[0]
@@ -128,7 +129,7 @@ def test_tree_respects_min_leaf_and_depth():
     rng = np.random.default_rng(4)
     X = rng.integers(0, 6, size=(80, 5))
     y = rng.integers(0, 2, size=80)
-    tree = fit_model(DT, X, y, Hyperparameters(tree_max_depth=3, tree_min_leaf=7)).model
+    (tree,) = fit_model(DT, X, y, Hyperparameters(tree_max_depth=3, tree_min_leaf=7)).model.trees
     depths = []
     stack = [(0, 0)]
     while stack:
@@ -179,7 +180,7 @@ def test_adaboost_separable_stops_after_one_round():
     X, y = _separable_1d()
     model = fit_model(ADA, X, y, HP)
     ens = model.model
-    assert len(ens.stumps) == 1
+    assert len(ens.trees) == 1
     assert ens.weighted_errors == [0.0]
     assert np.array_equal(predict(model, X), y)
 
@@ -191,7 +192,8 @@ def test_adaboost_first_stump_is_plain_best_stump():
     model = fit_model(ADA, X, y, HP)
     uniform = np.full(50, 1.0 / 50)
     plain, err, _ = best_stump(BinnedMatrix(X), y, uniform)
-    assert model.model.stumps[0].to_dict() == plain.to_dict()
+    # a stump's leaves hold the vote 2 * class - 1 of the reference's class
+    assert model.model.trees[0].to_dict() == {**plain.to_dict(), "value": (2.0 * plain.value - 1.0).tolist()}
     assert model.model.weighted_errors[0] == pytest.approx(err, abs=1e-12)
 
 
@@ -212,14 +214,15 @@ def test_adaboost_exponential_loss_bound():
         y = rng.integers(0, 2, size=60)
         if y.sum() in (0, 60):
             continue
-        ens = fit_model(ADA, X, y, HP).model
+        model = fit_model(ADA, X, y, HP)
+        ens = model.model
         bound = 1.0
         previous = math.inf
         for err in ens.weighted_errors:
             bound *= 2.0 * math.sqrt(max(err, 0.0) * (1.0 - max(err, 0.0)))
             assert bound <= previous + 1e-12
             previous = bound
-        training_error = float(np.mean(ens.predict(X) != y))
+        training_error = float(np.mean(predict(model, X) != y))
         assert training_error <= bound + 1e-9
 
 
@@ -228,7 +231,7 @@ def test_adaboost_stops_on_uninformative_data():
     X = np.ones((10, 2), dtype=int)
     y = np.array([0, 1] * 5)
     ens = fit_model(ADA, X, y, HP).model
-    assert ens.stumps == []
+    assert ens.trees == []
     assert predict(TrainedModel(ModelFamily.ADABOOST, ("f0", "f1"), ens), X).tolist() == [0] * 10
 
 
@@ -368,7 +371,7 @@ def _edited(params, name, index, value):
     return edited
 
 
-# name -> edit of a saved one-column decision tree [split, leaf, leaf]
+# name -> edit of the tree of a saved one-column decision tree [split, leaf, leaf]
 BAD_TREE_EDITS = {
     "backward_child": lambda t: _edited(t, "left", 0, 0),
     "child_past_the_end": lambda t: _edited(t, "right", 0, 3),
@@ -378,8 +381,11 @@ BAD_TREE_EDITS = {
     "ragged_arrays": lambda t: {**t, "threshold": t["threshold"][:2]},
     "missing_array": lambda t: {name: v for name, v in t.items() if name != "n"},
     "unknown_array": lambda t: {**t, "depth": [0, 1, 1]},
-    "without_n1_and_p": lambda t: {name: v for name, v in t.items() if name not in ("n1", "p")},
+    # the class share p is derived from n1 and n, and no longer saved
+    "with_p": lambda t: {**t, "p": [0.5, 1.0, 1.0]},
+    "without_n1": lambda t: {name: v for name, v in t.items() if name != "n1"},
     "non_numeric": lambda t: _edited(t, "left", 0, "one"),
+    "not_an_object": lambda t: list(t.values()),
 }
 
 
@@ -387,36 +393,41 @@ BAD_TREE_EDITS = {
 def test_load_rejects_malformed_trees(edit):
     X, y = _separable_1d()
     saved = fit_model(DT, X, y, Hyperparameters(tree_min_leaf=1)).to_dict()
-    assert saved["params"]["feature"] == [0, -1, -1]
+    (tree,) = saved["params"]["trees"]
+    assert tree["feature"] == [0, -1, -1]
     TrainedModel.from_dict(saved)
     # before these checks, a backward child made predict loop forever and a bad feature gave numpy's IndexError
     with pytest.raises(ValueError):
-        TrainedModel.from_dict({**saved, "params": BAD_TREE_EDITS[edit](saved["params"])})
+        TrainedModel.from_dict({**saved, "params": {**saved["params"], "trees": [BAD_TREE_EDITS[edit](tree)]}})
 
 
-# name -> (family, edit of the saved params). Before these checks a fallback_class 7, a NaN alpha and a
-# null init_score loaded silently, and a string value or a missing key failed only in numpy or as a KeyError.
+# name -> (family, edit of the saved params). Before these checks a NaN weight and a null init_score loaded
+# silently, and a string value or a missing key failed only in numpy or as a KeyError.
 BAD_ENSEMBLE_EDITS = {
-    "extra_alpha": (ADA, lambda p: {**p, "alphas": p["alphas"] + [1.0]}),
-    "fallback_class_7": (ADA, lambda p: {"stumps": [], "alphas": [], "fallback_class": 7}),
-    "fallback_class_true": (ADA, lambda p: {**p, "fallback_class": True}),
-    "nan_alpha": (ADA, lambda p: {**p, "alphas": [math.nan]}),
-    "string_alpha": (ADA, lambda p: {**p, "alphas": ["1.0"]}),
-    "missing_alphas": (ADA, lambda p: {name: v for name, v in p.items() if name != "alphas"}),
+    "extra_weight": (ADA, lambda p: {**p, "weights": p["weights"] + [1.0]}),
+    "bool_init_score": (ADA, lambda p: {"init_score": True, "weights": [], "trees": []}),
+    "nan_weight": (ADA, lambda p: {**p, "weights": [math.nan]}),
+    "string_weight": (ADA, lambda p: {**p, "weights": ["1.0"]}),
+    "missing_weights": (ADA, lambda p: {name: v for name, v in p.items() if name != "weights"}),
     "tree_with_bad_feature": (GBT, lambda p: {**p, "trees": [_edited(p["trees"][0], "feature", 0, 1)] + p["trees"][1:]}),
     "null_init_score": (GBT, lambda p: {**p, "init_score": None}),
     "infinite_init_score": (GBT, lambda p: {**p, "init_score": math.inf}),
-    "string_learning_rate": (GBT, lambda p: {**p, "learning_rate": "0.1"}),
-    "zero_learning_rate": (GBT, lambda p: {**p, "learning_rate": 0.0}),
-    "learning_rate_above_one": (GBT, lambda p: {**p, "learning_rate": 1.5}),
+    "string_weights": (GBT, lambda p: {**p, "weights": ["0.1"] * len(p["weights"])}),
     "missing_trees": (GBT, lambda p: {name: v for name, v in p.items() if name != "trees"}),
+    "missing_weight": (GBT, lambda p: {**p, "weights": p["weights"][:-1]}),
+    "nan_weight_in_gbt": (GBT, lambda p: {**p, "weights": [math.nan] + p["weights"][1:]}),
+    "weights_not_a_list": (GBT, lambda p: {**p, "weights": 0.1}),
+    "unknown_key": (GBT, lambda p: {**p, "learning_rate": 0.1}),
+    "decision_tree_with_two_trees": (DT, lambda p: {**p, "weights": [1.0, 1.0], "trees": p["trees"] * 2}),
+    "decision_tree_without_a_tree": (DT, lambda p: {**p, "weights": [], "trees": []}),
 }
 
 
 def test_load_rejects_malformed_ensembles():
     X, y = _separable_1d()
-    saved = {family: fit_model(family, X, y, Hyperparameters(gbt_rounds=2, gbt_depth=1)).to_dict() for family in (ADA, GBT)}
-    assert saved[ADA]["params"]["alphas"] and saved[GBT]["params"]["trees"]
+    hp = Hyperparameters(tree_min_leaf=1, gbt_rounds=2, gbt_depth=1)
+    saved = {family: fit_model(family, X, y, hp).to_dict() for family in MODEL_FAMILIES}
+    assert saved[ADA]["params"]["weights"] and len(saved[GBT]["params"]["trees"]) == 2
     for family, edit in BAD_ENSEMBLE_EDITS.values():
         TrainedModel.from_dict(saved[family])
         with pytest.raises(ValueError):
@@ -428,7 +439,7 @@ def test_unbounded_tree_deeper_than_the_recursion_limit_saves_and_dumps(tmp_path
     X = np.arange(1200).reshape(-1, 1)
     y = X[:, 0] % 2
     model = fit_model(DT, X, y, Hyperparameters(tree_max_depth=None, tree_min_leaf=1))
-    tree = model.model
+    (tree,) = model.model.trees
     n_inner = int((tree.feature >= 0).sum())
     assert (len(tree.feature), n_inner) == (2399, 1199)
     model.save(tmp_path / "deep.json")

@@ -275,3 +275,38 @@ def test_malformed_meta_names_the_file(tmp_path, capsys, meta_text, problem):
     code, _, err = run(capsys, "stats", "--in", str(tmp_path), "--out", str(tmp_path / "s"))
     assert code == 1
     assert err == f"error: {tmp_path / 'meta.json'}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "config_text, problem",
+    [
+        ('{"bogus": 1}\n', "unknown generator config keys ['bogus']"),
+        ("[1, 2]\n", "a generator config must be a JSON object, got list"),
+        ('{"n_patients": "ten"}\n', "n_patients must be an integer, got 'ten'"),
+        ("nope\n", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"p_oor_given_risk": {"MCV": 0.3}}\n', "p_oor_given_risk needs a value for every measure; "
+         "['PLATELETS', 'MCH', 'MCHC', 'RDW'] missing"),
+    ],
+    ids=["unknown_key", "not_an_object", "string_count", "invalid_json", "missing_measure"],
+)
+def test_synth_rejects_a_malformed_config(tmp_path, capsys, config_text, problem):
+    # each of these used to end in a TypeError traceback, or, for invalid JSON, an error without the file name
+    config = tmp_path / "generator.json"
+    config.write_text(config_text)
+    code, _, err = run(capsys, "synth", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err == f"error: {config}: {problem}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "label", "features", "evaluate"])
+def test_non_finite_soft_margin_rejected(cohort_dir, tmp_path, capsys, command):
+    # a NaN margin used to make every V5 label 1 and an infinite one every V5 label 2, with exit 0
+    for margin in ("nan", "inf", "-inf"):
+        code, _, err = run(capsys, command, "--in", str(cohort_dir), "--out", str(tmp_path / margin), f"--soft-margin={margin}")
+        assert code == 1
+        assert err == f"error: soft_margin must be finite, got {margin}\n"
+    fast = ["--versions", "v1", "--k-min", "5", "--k-max", "5", "--ada-rounds", "5", "--gbt-rounds", "5"]
+    for margin in ("-0.2", "0.7"):
+        extra = fast if command == "evaluate" else []
+        assert main([command, "--in", str(cohort_dir), "--out", str(tmp_path / margin), f"--soft-margin={margin}", *extra]) == 0

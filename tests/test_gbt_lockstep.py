@@ -34,6 +34,16 @@ def integer_matrices(draw, max_rows=40, max_cols=6):
     return np.array(columns, dtype=np.int64).T.reshape(n, d)
 
 
+def assert_same_trees(trees, references, votes=False):
+    """Field by field, each tree equals its reference; with votes, a leaf holds 2 * class - 1 of the reference's class."""
+    assert len(trees) == len(references)
+    for tree, reference in zip(trees, references):
+        expected = reference.to_dict()
+        if votes:
+            expected["value"] = (2.0 * reference.value - 1.0).tolist()
+        assert tree.to_dict() == expected
+
+
 def grow_round(grower, g, h, row_values):
     """One round's trees, one per model."""
     grower.grow(g, h, row_values)
@@ -124,10 +134,10 @@ def test_group_fit_edge_cases(family, case):
     X, y, hp = EDGE_CASES[case]
     models = _check_group_against_single_fits(family, X, y, hp, tuple(range(1, X.shape[1] + 1)))
     if family is ModelFamily.ADABOOST and case in ("no_boosting_rounds", "first_stump_error_half"):
-        # no stump kept: every row gets fallback_class
-        assert all(model.model.stumps == [] for model in models)
+        # no stump kept: the score is the training majority class, here 0
+        assert all(model.model.trees == [] and model.model.init_score == 0.0 for model in models)
     if family is ModelFamily.DECISION_TREE and case in ("single_row", "constant_columns", "min_leaf_above_half"):
-        assert all(model.model.feature.tolist() == [-1] for model in models)
+        assert all(model.model.trees[0].feature.tolist() == [-1] for model in models)
 
 
 def _check_group_against_references(family, X, y, hp, ks):
@@ -138,12 +148,15 @@ def _check_group_against_references(family, X, y, hp, ks):
         bm = BinnedMatrix(X[:, :k])
         if family is ModelFamily.DECISION_TREE:
             reference, reference_classes = grow_classification_tree(bm, y, hp.tree_max_depth, hp.tree_min_leaf)
+            assert (model.model.init_score, model.model.weights) == (0.0, [1.0])
+            assert_same_trees(model.model.trees, [reference])
         else:
             reference, reference_classes = fit_adaboost_ensemble(bm, y, hp.ada_rounds)
-            assert model.model.alphas == reference.alphas
+            assert model.model.init_score == (0.0 if reference.stumps else float(reference.fallback_class))
+            assert model.model.weights == reference.alphas
             assert model.model.weighted_errors == reference.weighted_errors
             assert model.model.weight_sums == reference.weight_sums
-        assert json.dumps(model.model.to_dict(), sort_keys=True) == json.dumps(reference.to_dict(), sort_keys=True)
+            assert_same_trees(model.model.trees, reference.stumps, votes=True)
         assert np.array_equal(classes, reference_classes)
     return models
 
@@ -172,7 +185,7 @@ def test_edge_cases_match_per_node_references(family, case):
     X, y, hp = EDGE_CASES[case]
     models = _check_group_against_references(family, X, y, hp, tuple(range(1, X.shape[1] + 1)))
     if family is ModelFamily.ADABOOST and case in STUMPS_KEPT:
-        assert [len(model.model.stumps) for model in models] == STUMPS_KEPT[case]
+        assert [len(model.model.trees) for model in models] == STUMPS_KEPT[case]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -184,12 +197,12 @@ def test_lockstep_stumps_match_best_stump_for_arbitrary_weights(data):
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
     w = [np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) for _ in ks]
     grower = StumpGrower(BinnedMatrix(X), ks, y)
-    classes = np.empty((len(ks), n))
-    grower.grow(w, classes)
-    for stumps, model_classes, model_w, k in zip(grower.pop_trees(), classes, w, ks):
+    votes = np.empty((len(ks), n))
+    grower.grow(w, votes)
+    for stumps, model_votes, model_w, k in zip(grower.pop_trees(), votes, w, ks):
         stump, _, expected_classes = best_stump(BinnedMatrix(X[:, :k]), y, model_w)
-        assert json.dumps(stumps[0].to_dict()) == json.dumps(stump.to_dict())
-        assert np.array_equal(model_classes, expected_classes)
+        assert_same_trees(stumps, [stump], votes=True)
+        assert np.array_equal(model_votes, 2.0 * expected_classes - 1.0)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -217,7 +230,8 @@ def test_lockstep_boosting_matches_per_node_reference(data):
         )
         # every node's feature, threshold, row count and leaf value
         assert [nodes_from_tree(tree) for tree in model.model.trees] == reference.trees
-        assert (model.model.init_score, model.model.learning_rate) == (reference.init_score, reference.learning_rate)
+        assert model.model.init_score == reference.init_score
+        assert model.model.weights == [reference.learning_rate] * len(reference.trees)
         assert model.model.train_losses == reference.train_losses
         assert np.array_equal(classes, reference_scores > 0)
         assert np.array_equal(model.model.decision_scores(X[:, :k]), reference.decision_scores(X[:, :k]))

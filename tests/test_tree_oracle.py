@@ -34,6 +34,21 @@ def test_flat_prediction_matches_per_node_walk(data):
     )
     model = fit_model(family, X, y, hp)
     for rows in (X, X_test):
-        assert np.array_equal(predict(model, rows), tree_reference.predict(model, rows))
-        if family is not ModelFamily.DECISION_TREE:
-            assert np.array_equal(model.model.decision_scores(rows), tree_reference.decision_scores(model, rows))
+        assert np.array_equal(predict(model, rows), tree_reference.predict(model, rows, hp, y))
+        # the reference scores an AdaBoost model without stumps by its fallback class only
+        if family is ModelFamily.GBT or (family is ModelFamily.ADABOOST and model.model.trees):
+            assert np.array_equal(model.model.decision_scores(rows), tree_reference.decision_scores(model, rows, hp))
+
+
+def test_adaboost_without_stumps_predicts_the_training_majority():
+    X = np.array([[0, 3], [1, 2], [2, 1], [3, 0], [4, 4]])
+    X_test = np.array([[-1, 9], [2, 2], [9, -1]])
+    hp = Hyperparameters(ada_rounds=0)
+    # class 1 is the majority, a minority and half of the rows
+    for y, majority in (([1, 1, 0, 1, 0], 1), ([0, 1, 0, 0, 0], 0), ([1, 0, 1, 0], 0)):
+        y = np.array(y)
+        model = fit_model(ModelFamily.ADABOOST, X[: len(y)], y, hp)
+        assert model.model.trees == [] and model.model.init_score == float(majority)
+        for rows in (X, X_test):
+            assert predict(model, rows).tolist() == [majority] * len(rows)
+            assert np.array_equal(predict(model, rows), tree_reference.predict(model, rows, hp, y))

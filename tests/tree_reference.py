@@ -3,8 +3,10 @@
 `apply` is the depth-first walk the package used before prediction became one
 vectorised step per tree level: a stack of (node, rows) pairs, one comparison
 per inner node. `nodes_from_tree` rebuilds linked nodes from a flat `Tree`.
-Tests require the package's predictions and decision scores to equal the ones
-computed here, bit for bit.
+`decision_scores` and `predict` keep each family's own scoring rule, which
+the package replaced with one sum over every family's trees. Tests require
+the package's predictions and decision scores to equal the ones computed
+here, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fbcsurv.classifiers import ModelFamily, TrainedModel
+from fbcsurv.classifiers import Hyperparameters, ModelFamily, TrainedModel
 from fbcsurv.classifiers.tree import Tree
 
 
@@ -61,24 +63,35 @@ def apply(root: Node, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def decision_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """An ensemble's scores from per-node walks, added tree by tree in fit order."""
+def decision_scores(model: TrainedModel, X: np.ndarray, hp: Hyperparameters) -> np.ndarray:
+    """An ensemble's scores from per-node walks, added tree by tree in fit order, each family by its own formula.
+
+    AdaBoost adds alpha * (2c - 1) from 0 for each stump's class c (class 1
+    where its leaf votes +1); GBT adds learning_rate * leaf from its init score.
+    """
     ensemble = model.model
     if model.family is ModelFamily.ADABOOST:
         scores = np.zeros(len(X), dtype=np.float64)
-        for stump, alpha in zip(ensemble.stumps, ensemble.alphas):
-            scores += alpha * (2.0 * apply(nodes_from_tree(stump), X) - 1.0)
+        for stump, alpha in zip(ensemble.trees, ensemble.weights):
+            classes = (apply(nodes_from_tree(stump), X) > 0).astype(np.float64)
+            scores += alpha * (2.0 * classes - 1.0)
         return scores
     scores = np.full(len(X), ensemble.init_score, dtype=np.float64)
     for tree in ensemble.trees:
-        scores += ensemble.learning_rate * apply(nodes_from_tree(tree), X)
+        scores += hp.gbt_learning_rate * apply(nodes_from_tree(tree), X)
     return scores
 
 
-def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Class predictions of any model family from per-node walks."""
+def predict(model: TrainedModel, X: np.ndarray, hp: Hyperparameters, y_train: np.ndarray) -> np.ndarray:
+    """Class predictions of any model family from per-node walks.
+
+    A CART model predicts its one tree's leaf class. An AdaBoost model with
+    no stump predicts the fallback class: 1 when class 1 is the strict
+    majority of y_train, else 0.
+    """
     if model.family is ModelFamily.DECISION_TREE:
-        return apply(nodes_from_tree(model.model), X).astype(np.int64)
-    if model.family is ModelFamily.ADABOOST and not model.model.stumps:
-        return np.full(len(X), model.model.fallback_class, dtype=np.int64)
-    return (decision_scores(model, X) > 0).astype(np.int64)
+        return apply(nodes_from_tree(model.model.trees[0]), X).astype(np.int64)
+    if model.family is ModelFamily.ADABOOST and not model.model.trees:
+        fallback_class = 1 if int(y_train.sum()) * 2 > len(y_train) else 0
+        return np.full(len(X), fallback_class, dtype=np.int64)
+    return (decision_scores(model, X, hp) > 0).astype(np.int64)
