@@ -199,7 +199,7 @@ def _cmd_ingest(args) -> int:
     cohort = _load_cohort(args)
     filtered, report = apply_inclusion_filters(cohort)
     out = Path(args.out)
-    write_cohort(cohort, out)
+    write_cohort(cohort, out, source=Path(args.in_dir))
     report.write(out / "filter_report.json")
     _echo_config(out, "ingest", {"in": args.in_dir, "out": str(out), "data_end_date": cohort.data_end_date})
     print(

@@ -15,7 +15,9 @@ sidecar that holds the sha256 of the two CSVs it mirrors. `read_cohort` loads
 the sidecar instead of parsing when both hashes match the CSVs on disk and a
 vectorised re-check of the parser's row rules passes; otherwise it parses the
 CSVs with `ingest_cohort`, so its results and error messages do not depend on
-whether a sidecar exists.
+whether a sidecar exists. Given a `source` directory whose sidecar holds the
+very columns being written, `write_cohort` copies that directory's CSVs
+instead of serialising them again.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import zipfile
 from array import array
 from dataclasses import dataclass, field
@@ -39,7 +42,13 @@ import numpy as np
 FOLLOW_UP_DAYS = 730  # "2 years" fixed as 730 days; deterministic boundary
 
 SIDECAR = "cohort.npz"
+# write_cohort copies a source's CSVs instead of serialising them when the
+# source's sidecar of this version holds the same arrays; that proves the CSVs
+# only while the text write_cohort makes of those arrays stays the same. Bump
+# the version whenever the sidecar layout or the CSV text format changes.
 SIDECAR_VERSION = 1
+SIDECAR_ARRAYS = ("rows", "counts", "patient_id", "sex", "age", "diagnosis", "death")
+CSV_FILES = ("patients.csv", "observations.csv")
 NO_DEATH = 0  # death ordinal of a patient without a death date; real ordinals start at 1
 
 PATIENTS_COLUMNS = ["patient_id", "sex", "age_at_diagnosis", "diagnosis_date", "death_date"]
@@ -445,10 +454,44 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
     return Cohort(patients=records, data_end_date=data_end_date)
 
 
-def write_cohort(cohort: Cohort, out_dir: str | Path) -> None:
-    """Write patients.csv, observations.csv, meta.json and the cohort.npz sidecar for a cohort."""
+def write_cohort(cohort: Cohort, out_dir: str | Path, *, source: str | Path | None = None) -> None:
+    """Write patients.csv, observations.csv, meta.json and the cohort.npz sidecar for a cohort.
+
+    With `source`, a cohort directory, the two CSVs are copied from it byte
+    for byte when its cohort.npz proves they are exactly what this call would
+    write: the sidecar loads, has this format version and the hashes of the
+    CSVs there, and holds this cohort's arrays, floats compared bit for bit.
+    Otherwise they are serialised. meta.json and the sidecar are written
+    either way, the sidecar hashing the CSVs now in `out_dir`.
+
+    Raises ValueError, before any file is opened, for a patient_id that the
+    parser cannot read back as itself: an empty one, one with leading or
+    trailing whitespace (the parser strips fields) and one holding a carriage
+    return (csv.writer leaves it unquoted, so it splits the row).
+    """
+    for p in cohort.patients:
+        pid = p.patient_id
+        if not pid or pid != pid.strip() or "\r" in pid:
+            raise ValueError(f"patient_id {pid!r} would not read back: it is empty, padded or holds a carriage return")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    arrays = _sidecar_arrays(cohort)
+    if source is not None and arrays is not None and _proves_csvs(Path(source), arrays):
+        for name in CSV_FILES:
+            try:
+                shutil.copyfile(Path(source, name), out / name)
+            except shutil.SameFileError:
+                pass  # writing a cohort back into the directory it was read from
+    else:
+        _serialise_csvs(cohort, out)
+    with open(out / "meta.json", "w") as fh:
+        json.dump({"data_end_date": cohort.data_end_date.isoformat()}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    if arrays is not None:
+        _write_sidecar(arrays, out)
+
+
+def _serialise_csvs(cohort: Cohort, out: Path) -> None:
     with open(out / "patients.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PATIENTS_COLUMNS)
@@ -480,10 +523,6 @@ def write_cohort(cohort: Cohort, out_dir: str | Path) -> None:
                     map(repr, o.ref_high.tolist()),
                 )
             )
-    with open(out / "meta.json", "w") as fh:
-        json.dump({"data_end_date": cohort.data_end_date.isoformat()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_sidecar(cohort, out)
 
 
 def _sha256(path: Path) -> str:
@@ -494,20 +533,25 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_sidecar(cohort: Cohort, out: Path) -> None:
-    """Save the cohort's columns and the hashes of the CSVs just written as cohort.npz."""
+def _sidecar_arrays(cohort: Cohort) -> dict[str, np.ndarray] | None:
+    """The cohort's columns as the sidecar saves them, or None when they cannot determine its CSV text."""
     patients = cohort.patients
     ids = [p.patient_id for p in patients]
     if any("\0" in pid for pid in ids):
-        return  # a numpy str array drops trailing NULs, so it cannot hold these ids exactly
+        return None  # a numpy str array drops trailing NULs, so it cannot hold these ids exactly
+    # the CSVs write str(age) and isoformat(): a float or bool age, or a datetime, writes other text than its column
+    if not all(
+        type(p.age_at_diagnosis) is int
+        and type(p.diagnosis_date) is date
+        and (p.death_date is None or type(p.death_date) is date)
+        for p in patients
+    ):
+        return None
     try:
         ages = np.array([p.age_at_diagnosis for p in patients], dtype=np.int64)
     except OverflowError:
-        return  # an age beyond int64 has no exact column
-    arrays = {
-        "version": np.int64(SIDECAR_VERSION),
-        "patients_sha256": np.str_(_sha256(out / "patients.csv")),
-        "observations_sha256": np.str_(_sha256(out / "observations.csv")),
+        return None  # an age beyond int64 has no exact column
+    return {
         "rows": Observations.concat([p.observations for p in patients]).rows,
         "counts": np.array([len(p.observations) for p in patients], dtype=np.int64),
         "patient_id": np.array(ids, dtype=str),
@@ -516,13 +560,64 @@ def _write_sidecar(cohort: Cohort, out: Path) -> None:
         "diagnosis": np.array([p.diagnosis_date.toordinal() for p in patients], dtype=np.int64),
         "death": np.array([p.death_date.toordinal() if p.death_date else NO_DEATH for p in patients], dtype=np.int64),
     }
+
+
+def _write_sidecar(arrays: dict[str, np.ndarray], out: Path) -> None:
+    """Save a cohort's sidecar arrays, the format version and the hashes of the CSVs in `out` as cohort.npz."""
     tmp = out / f".{SIDECAR}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+            np.savez(
+                fh,
+                version=np.int64(SIDECAR_VERSION),
+                patients_sha256=np.str_(_sha256(out / "patients.csv")),
+                observations_sha256=np.str_(_sha256(out / "observations.csv")),
+                **arrays,
+            )
         os.replace(tmp, out / SIDECAR)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _checked_sidecar(in_dir: Path) -> dict[str, np.ndarray] | None:
+    """cohort.npz's cohort arrays, or None unless it loads, has this version and the hashes of the CSVs on disk."""
+    try:
+        # np.load leaks the file it opened when the archive is corrupt, so it gets an open one
+        with open(in_dir / SIDECAR, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            saved = {name: npz[name] for name in ("version", "patients_sha256", "observations_sha256", *SIDECAR_ARRAYS)}
+        csv_hashes = tuple(_sha256(in_dir / name) for name in CSV_FILES)
+    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
+        # no sidecar, a truncated or foreign file, or a missing CSV (which the parser reports)
+        return None
+    version = saved.pop("version")
+    if version.shape != () or version.dtype.kind != "i" or version != SIDECAR_VERSION:
+        return None
+    if (str(saved.pop("patients_sha256")), str(saved.pop("observations_sha256"))) != csv_hashes:
+        return None
+    return saved
+
+
+def _proves_csvs(source: Path, arrays: dict[str, np.ndarray]) -> bool:
+    """Whether the CSVs in `source` are exactly what write_cohort writes for the cohort whose arrays these are.
+
+    A checked sidecar holds the hashes of the CSVs that write_cohort wrote
+    from its arrays, and for one SIDECAR_VERSION that text is a function of
+    those arrays alone; so equal arrays mean equal CSV bytes.
+    """
+    saved = _checked_sidecar(source)
+    return saved is not None and all(_same_bits(saved[name], array) for name, array in arrays.items())
+
+
+def _same_bits(saved: np.ndarray, built: np.ndarray) -> bool:
+    """Equal dtype, shape and values, field by field; floats compare by bit pattern, so -0.0 != 0.0."""
+    if saved.dtype != built.dtype or saved.shape != built.shape:
+        return False
+    if built.dtype.names:
+        return all(_same_bits(saved[name], built[name]) for name in built.dtype.names)
+    if built.dtype.kind == "f":
+        bits = np.dtype(f"u{built.dtype.itemsize}")
+        saved, built = saved.view(bits), built.view(bits)
+    return bool((saved == built).all())
 
 
 def _load_sidecar(in_dir: Path, data_end_date: date) -> Cohort | None:
@@ -531,23 +626,10 @@ def _load_sidecar(in_dir: Path, data_end_date: date) -> Cohort | None:
     That holds when the sidecar loads, has this format version and the hashes
     of the CSVs on disk, and every row passes the parser's rules again.
     """
-    try:
-        # np.load leaks the file it opened when the archive is corrupt, so it gets an open one
-        with open(in_dir / SIDECAR, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            version, patients_sha256, observations_sha256, rows, counts, ids, sex, age, diagnosis, death = (
-                npz[name] for name in (
-                    "version", "patients_sha256", "observations_sha256",
-                    "rows", "counts", "patient_id", "sex", "age", "diagnosis", "death",
-                )
-            )
-        csv_hashes = (_sha256(in_dir / "patients.csv"), _sha256(in_dir / "observations.csv"))
-    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
-        # no sidecar, a truncated or foreign file, or a missing CSV (which the parser reports)
+    saved = _checked_sidecar(in_dir)
+    if saved is None:
         return None
-    if version.shape != () or version.dtype.kind != "i" or version != SIDECAR_VERSION:
-        return None
-    if (str(patients_sha256), str(observations_sha256)) != csv_hashes:
-        return None
+    rows, counts, ids, sex, age, diagnosis, death = (saved[name] for name in SIDECAR_ARRAYS)
 
     n = ids.size
     if rows.ndim != 1 or rows.dtype != OBSERVATION_DTYPE or rows.dtype.itemsize != OBSERVATION_DTYPE.itemsize:

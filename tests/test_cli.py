@@ -1,13 +1,15 @@
 import json
 import os
+import shutil
 from datetime import date
 
+import numpy as np
 import pytest
 
 import fbcsurv.cohort
 import fbcsurv.evaluation
 from fbcsurv.cli import main
-from fbcsurv.cohort import CohortError, ingest_cohort
+from fbcsurv.cohort import CSV_FILES, SIDECAR, CohortError, ingest_cohort, read_cohort, write_cohort
 
 from conftest import write_csvs
 
@@ -244,6 +246,85 @@ def test_stages_load_the_sidecar_instead_of_parsing(cohort_dir, tmp_path, monkey
     evaluate = ["--seed", "5", "--k-min", "5", "--k-max", "5", "--versions", "v1", "--ada-rounds", "5", "--gbt-rounds", "5"]
     for command, extra in (("stats", []), ("label", []), ("features", []), ("evaluate", evaluate)):
         assert main([command, "--in", str(ingested), "--out", str(tmp_path / command), *extra]) == 0
+
+
+def csv_bytes(cohort_dir):
+    return {name: (cohort_dir / name).read_bytes() for name in CSV_FILES}
+
+
+def serialised_bytes(in_dir, out, data_end_date=None):
+    """The CSV bytes that write_cohort serialises for the cohort read from in_dir."""
+    write_cohort(read_cohort(in_dir, data_end_date), out)
+    return csv_bytes(out)
+
+
+def assert_sidecar_trusted(cohort_dir, monkeypatch):
+    end = read_cohort(cohort_dir).data_end_date
+    expected = ingest_cohort(cohort_dir / "patients.csv", cohort_dir / "observations.csv", end)
+    with monkeypatch.context() as patch:
+        patch.setattr(fbcsurv.cohort, "ingest_cohort", lambda *args: pytest.fail("read_cohort parsed the CSVs"))
+        assert read_cohort(cohort_dir) == expected
+
+
+def test_ingest_copies_the_csvs_its_input_sidecar_proves(cohort_dir, tmp_path, monkeypatch):
+    def no_writer(*args, **kwargs):
+        raise AssertionError("write_cohort serialised the CSVs instead of copying them")
+
+    ingested = tmp_path / "ingested"
+    with monkeypatch.context() as patch:
+        patch.setattr(fbcsurv.cohort.csv, "writer", no_writer)
+        assert main(["ingest", "--in", str(cohort_dir), "--out", str(ingested)]) == 0
+    assert csv_bytes(ingested) == csv_bytes(cohort_dir) == serialised_bytes(cohort_dir, tmp_path / "fresh")
+    assert_sidecar_trusted(ingested, monkeypatch)
+
+
+def fields(array, field):
+    return (array if field is None else array[field]).tobytes()
+
+
+def test_ingest_into_its_own_directory(cohort_dir, tmp_path, monkeypatch):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    before = csv_bytes(cohort)
+    with np.load(cohort / SIDECAR) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    assert main(["ingest", "--in", str(cohort), "--out", str(cohort)]) == 0
+    assert csv_bytes(cohort) == before
+    with np.load(cohort / SIDECAR) as npz:
+        assert sorted(npz.files) == sorted(arrays)
+        for name, array in arrays.items():
+            for field in array.dtype.names or [None]:  # padding bytes between record fields carry no data
+                assert fields(npz[name], field) == fields(array, field), (name, field)
+    assert_sidecar_trusted(cohort, monkeypatch)
+
+
+def _crlf(cohort):
+    path = cohort / "patients.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+@pytest.mark.parametrize(
+    "prepare, extra",
+    [
+        (lambda cohort: (cohort / SIDECAR).unlink(), []),
+        (lambda cohort: (cohort / SIDECAR).write_bytes((cohort / SIDECAR).read_bytes()[:1000]), []),
+        (_crlf, []),
+        (lambda cohort: None, ["--data-end-date", "2019-06-30"]),
+    ],
+    ids=["no_sidecar", "spoiled_sidecar", "crlf_patients", "data_end_date"],
+)
+def test_ingest_writes_the_bytes_write_cohort_serialises(cohort_dir, tmp_path, monkeypatch, prepare, extra):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    prepare(cohort)
+    ingested = tmp_path / "ingested"
+    assert main(["ingest", "--in", str(cohort), "--out", str(ingested), *extra]) == 0
+    end = date.fromisoformat(extra[1]) if extra else None
+    # the synth CSVs are write_cohort's own bytes, so every case writes them
+    assert csv_bytes(ingested) == serialised_bytes(cohort, tmp_path / "fresh", end) == csv_bytes(cohort_dir)
+    data_end_date = json.loads((ingested / "meta.json").read_text())["data_end_date"]
+    assert data_end_date == (extra[1] if extra else json.loads((cohort_dir / "meta.json").read_text())["data_end_date"])
+    assert_sidecar_trusted(ingested, monkeypatch)
 
 
 def test_data_end_date_before_an_observation_gives_the_parser_message(cohort_dir, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import dataclasses
 import io
+import re
+import shutil
 import tempfile
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -362,17 +364,17 @@ def _with_observation(patient, **columns):
         lambda p: _with_observation(p, value=float("inf")),
         lambda p: _with_observation(p, ref_low=500.0),
         lambda p: _with_observation(p, measure=-1),  # written as RDW
-        lambda p: dataclasses.replace(p, patient_id=" P1"),
-        lambda p: dataclasses.replace(p, patient_id="P\r1"),
         lambda p: dataclasses.replace(p, patient_id="P1\x00"),
         lambda p: dataclasses.replace(p, patient_id="P2"),  # a duplicate
-        lambda p: dataclasses.replace(p, patient_id=""),
         lambda p: dataclasses.replace(p, age_at_diagnosis=-1),
         lambda p: dataclasses.replace(p, age_at_diagnosis=10**20),  # no int64 column holds it
+        lambda p: dataclasses.replace(p, age_at_diagnosis=65.0),  # written as 65.0
+        lambda p: dataclasses.replace(p, age_at_diagnosis=True),  # written as True
+        lambda p: dataclasses.replace(p, diagnosis_date=datetime(2012, 6, 1, 5)),  # written with its time
         lambda p: dataclasses.replace(p, death_date=p.diagnosis_date - timedelta(days=1)),
     ],
-    ids=["negative_value", "nan_value", "inf_value", "inverted_range", "negative_measure", "padded_id", "id_with_cr",
-         "id_with_nul", "duplicate_id", "empty_id", "negative_age", "huge_age",
+    ids=["negative_value", "nan_value", "inf_value", "inverted_range", "negative_measure", "id_with_nul",
+         "duplicate_id", "negative_age", "huge_age", "float_age", "bool_age", "datetime_diagnosis",
          "death_before_diagnosis"],
 )
 def test_api_built_cohort_reads_the_same_with_and_without_sidecar(tmp_path, edit):
@@ -381,6 +383,78 @@ def test_api_built_cohort_reads_the_same_with_and_without_sidecar(tmp_path, edit
     with_sidecar = outcome(lambda: read_cohort(tmp_path))
     (tmp_path / SIDECAR).unlink(missing_ok=True)
     assert with_sidecar == outcome(lambda: read_cohort(tmp_path))
+
+
+@pytest.mark.parametrize("pid", [" pad ", "a\rb", ""], ids=["padded_id", "id_with_cr", "empty_id"])
+def test_write_cohort_rejects_ids_it_cannot_read_back(tmp_path, pid):
+    patients = [make_patient(pid, readings=full_panel_readings()), make_patient("P2", readings=full_panel_readings())]
+    with pytest.raises(ValueError, match=re.escape(repr(pid))):
+        write_cohort(make_cohort(patients), tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # rejected before any file is opened
+
+
+@pytest.mark.parametrize("pid", ["a\nb", 'a"b', "a,b"], ids=["newline", "quote", "comma"])
+def test_write_cohort_keeps_ids_that_round_trip(tmp_path, parses, pid):
+    cohort = make_cohort([make_patient(pid, readings=full_panel_readings())])
+    write_cohort(cohort, tmp_path)
+    assert read_cohort(tmp_path) == cohort
+    assert parses == []
+    assert parse(tmp_path, DATA_END) == cohort
+
+
+def _expected_bytes(cohort, tmp) -> dict[str, bytes]:
+    """The CSV bytes that write_cohort serialises for a cohort, in a fresh directory under tmp."""
+    fresh = Path(tempfile.mkdtemp(dir=tmp))
+    write_cohort(cohort, fresh)
+    return _csv_bytes(fresh)
+
+
+def _csv_bytes(cohort_dir: Path) -> dict[str, bytes]:
+    return {name: (cohort_dir / name).read_bytes() for name in fbcsurv.cohort.CSV_FILES}
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """The (source, destination) of every file that write_cohort copies."""
+    calls = []
+    real = fbcsurv.cohort.shutil.copyfile
+
+    def counting(src, dst):
+        calls.append((src, dst))
+        return real(src, dst)
+
+    monkeypatch.setattr(fbcsurv.cohort.shutil, "copyfile", counting)
+    return calls
+
+
+def test_write_cohort_copies_csvs_its_source_sidecar_proves(synth_dir, tmp_path, parses, copies):
+    cohort = read_cohort(synth_dir)
+    write_cohort(cohort, tmp_path / "out", source=synth_dir)
+    assert len(copies) == 2
+    assert _csv_bytes(tmp_path / "out") == _csv_bytes(synth_dir) == _expected_bytes(cohort, tmp_path)
+    assert read_cohort(tmp_path / "out") == cohort
+    assert parses == []
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: _with_observation(p, value=p.observations.value[0] + 1.0),
+        lambda p: _with_observation(p, value=-0.0),
+        lambda p: dataclasses.replace(p, age_at_diagnosis=p.age_at_diagnosis + 1),
+        lambda p: dataclasses.replace(p, death_date=p.diagnosis_date),
+    ],
+    ids=["one_value", "negative_zero", "age", "death"],
+)
+def test_write_cohort_serialises_a_cohort_its_source_does_not_hold(tmp_path, parses, copies, edit):
+    patients = [make_patient(f"P{i}", readings=full_panel_readings(value=0.0)) for i in (1, 2)]
+    write_cohort(make_cohort(patients), tmp_path / "in")
+    edited = make_cohort([patients[0], edit(patients[1])])
+    write_cohort(edited, tmp_path / "out", source=tmp_path / "in")
+    assert copies == []
+    assert _csv_bytes(tmp_path / "out") == _expected_bytes(edited, tmp_path) != _csv_bytes(tmp_path / "in")
+    assert read_cohort(tmp_path / "out") == edited
+    assert parses == []
 
 
 def _edit_observation(column: str, value):
@@ -419,9 +493,16 @@ def test_sidecar_read_equals_the_parse(n, seed, edits, file_edit, end_shift):
     for i, edit in edits:
         patients[i % n] = edit(patients[i % n])
     end = None if end_shift is None else cohort.data_end_date - timedelta(days=end_shift)
+    edited = dataclasses.replace(cohort, patients=tuple(patients))
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        write_cohort(dataclasses.replace(cohort, patients=tuple(patients)), out)
+        out = Path(tmp, "cohort")
+        written = outcome(lambda: write_cohort(edited, out))
+        if written is not None:
+            # only an id that the parser cannot read back stops the write
+            assert written.startswith("ValueError: patient_id ")
+            assert any(not p.patient_id or p.patient_id != p.patient_id.strip() or "\r" in p.patient_id for p in patients)
+            assert not out.exists()
+            return
         if file_edit is not None:
             name, at, byte = file_edit
             data = bytearray((out / name).read_bytes())
@@ -433,3 +514,18 @@ def test_sidecar_read_equals_the_parse(n, seed, edits, file_edit, end_shift):
         if not edits and file_edit is None and end is None:
             assert trusted is not None
         assert outcome(lambda: read_cohort(out, end)) == parsed
+
+        # a copy from `out` gives the bytes that serialising gives, for the cohort written or read
+        for c in (edited, parsed) if isinstance(parsed, fbcsurv.cohort.Cohort) else (edited,):
+            expected = _expected_bytes(c, tmp)
+            assert _write_from(c, out, tmp) == expected
+            without = Path(tempfile.mkdtemp(dir=tmp))
+            shutil.copytree(out, without, dirs_exist_ok=True)
+            (without / SIDECAR).unlink(missing_ok=True)
+            assert _write_from(c, without, tmp) == expected
+
+
+def _write_from(cohort, source: Path, tmp) -> dict[str, bytes]:
+    out = Path(tempfile.mkdtemp(dir=tmp))
+    write_cohort(cohort, out, source=source)
+    return _csv_bytes(out)
