@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .evaluation import (
     write_summary_csv,
 )
 from .features import build_matrix, read_features_csv, write_features_csv
-from .labeling import DiagnosisWindow, Version, label_cohort, write_labels_csv
+from .labeling import FAR_DAYS_DEFAULT, DiagnosisWindow, Version, label_cohort, write_labels_csv
 from .ranges import SOFT_MARGIN_DEFAULT
 from .selection import select_top_k, write_ranking_csv
 from .synth import GeneratorConfig, generate, read_generator_config, write_generator_config
@@ -60,10 +60,19 @@ def _parse_versions(text: str) -> tuple[Version, ...]:
     return tuple(versions)
 
 
-def _echo_config(out_dir: Path, command: str, effective: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command, **effective}
-    with open(out_dir / "config.json", "w") as fh:
+def _echo_config(args, cohort: Cohort | None = None, **effective) -> None:
+    """Write <out>/config.json: the command, --out, `effective` and the labeling flags the command parsed.
+
+    With `cohort`, the one the command read, also --in and the data_end_date it resolved.
+    """
+    out = Path(args.out)
+    payload = {"command": args.command, "out": str(out), **effective}
+    if cohort is not None:
+        payload.update({"in": args.in_dir, "data_end_date": cohort.data_end_date})
+    if "window_close" in args:
+        payload["window_close"] = [args.window_close.start_offset_days, args.window_close.end_offset_days]
+    payload.update({name: getattr(args, name) for name in ("window_far_days", "soft_margin") if name in args})
+    with open(out / "config.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -83,18 +92,14 @@ def _add_cohort_input(parser: argparse.ArgumentParser) -> None:
 def _add_window_flags(parser: argparse.ArgumentParser, far: bool = True) -> None:
     parser.add_argument("--window-close", type=_parse_window, default=DiagnosisWindow(), help="close window, e.g. -60:+30")
     if far:
-        parser.add_argument("--window-far-days", type=int, default=180, help="far horizon in days for V3/V6")
+        parser.add_argument("--window-far-days", type=int, default=FAR_DAYS_DEFAULT, help="far horizon in days for V3/V6")
     parser.add_argument("--soft-margin", type=float, default=SOFT_MARGIN_DEFAULT, help="soft-range margin fraction")
 
 
 def _add_hyperparameter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tree-max-depth", type=int, default=4)
-    parser.add_argument("--tree-min-leaf", type=int, default=5)
-    parser.add_argument("--ada-rounds", type=int, default=50)
-    parser.add_argument("--gbt-rounds", type=int, default=100)
-    parser.add_argument("--gbt-depth", type=int, default=3)
-    parser.add_argument("--gbt-learning-rate", type=float, default=0.1)
-    parser.add_argument("--gbt-l2", type=float, default=1.0)
+    # one flag per field, --tree-max-depth for tree_max_depth, typed by its default
+    for field in fields(Hyperparameters):
+        parser.add_argument("--" + field.name.replace("_", "-"), type=type(field.default), default=field.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,37 +165,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# synth flags that replace one GeneratorConfig field as given: flag dest -> field
+_SYNTH_OVERRIDES = {
+    "n": "n_patients",
+    "seed": "seed",
+    "latent_risk": "p_latent_high_risk",
+    "window_bias": "window_placement_bias",
+    "sex_delta": "sex_mortality_delta",
+    "female_g3_boost": "female_g3_boost",
+}
+
+
 def _cmd_synth(args) -> int:
     config = read_generator_config(args.config) if args.config else GeneratorConfig()
-    overrides = {}
-    if args.n is not None:
-        overrides["n_patients"] = args.n
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {name: getattr(args, dest) for dest, name in _SYNTH_OVERRIDES.items() if getattr(args, dest) is not None}
     if args.p_death is not None:
         parts = tuple(float(v) for v in args.p_death.split(","))
         if len(parts) != 3:
             raise ValueError("--p-death needs three comma-separated probabilities")
         overrides["p_death_2y_by_group"] = parts
     if args.p_oor_risk is not None:
-        overrides["p_oor_given_risk"] = {m: args.p_oor_risk for m in config.p_oor_given_risk}
+        overrides["p_oor_given_risk"] = dict.fromkeys(config.p_oor_given_risk, args.p_oor_risk)
     if args.p_oor_norisk is not None:
-        overrides["p_oor_given_no_risk"] = {m: args.p_oor_norisk for m in config.p_oor_given_no_risk}
-    if args.latent_risk is not None:
-        overrides["p_latent_high_risk"] = args.latent_risk
-    if args.window_bias is not None:
-        overrides["window_placement_bias"] = args.window_bias
-    if args.sex_delta is not None:
-        overrides["sex_mortality_delta"] = args.sex_delta
-    if args.female_g3_boost is not None:
-        overrides["female_g3_boost"] = args.female_g3_boost
-    if overrides:
-        config = replace(config, **overrides)
+        overrides["p_oor_given_no_risk"] = dict.fromkeys(config.p_oor_given_no_risk, args.p_oor_norisk)
+    config = replace(config, **overrides)
     cohort = generate(config)
     out = Path(args.out)
     write_cohort(cohort, out)
     write_generator_config(config, out / "generator_config.json")
-    _echo_config(out, "synth", {"generator": config.to_dict(), "out": str(out)})
+    _echo_config(args, generator=config.to_dict())
     print(f"wrote {len(cohort)} patients to {out}")
     return 0
 
@@ -201,7 +204,7 @@ def _cmd_ingest(args) -> int:
     out = Path(args.out)
     write_cohort(cohort, out, source=Path(args.in_dir))
     report.write(out / "filter_report.json")
-    _echo_config(out, "ingest", {"in": args.in_dir, "out": str(out), "data_end_date": cohort.data_end_date})
+    _echo_config(args, cohort)
     print(
         f"validated {len(cohort)} patients; {report.retained} pass filters "
         f"({report.removed_insufficient_followup} insufficient follow-up, "
@@ -220,17 +223,7 @@ def _cmd_stats(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_stats_csv(rows, out / "stats.csv")
-    _echo_config(
-        out,
-        "stats",
-        {
-            "in": args.in_dir,
-            "out": str(out),
-            "window_close": [args.window_close.start_offset_days, args.window_close.end_offset_days],
-            "soft_margin": args.soft_margin,
-            "pre_filter_stats": args.pre_filter_stats,
-        },
-    )
+    _echo_config(args, cohort, pre_filter_stats=args.pre_filter_stats)
     print(f"wrote stats for {len(working)} patients to {out / 'stats.csv'}")
     return 0
 
@@ -243,17 +236,7 @@ def _cmd_label(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_labels_csv(filtered, labels, out / "labels.csv")
     report.write(out / "filter_report.json")
-    _echo_config(
-        out,
-        "label",
-        {
-            "in": args.in_dir,
-            "out": str(out),
-            "window_close": [args.window_close.start_offset_days, args.window_close.end_offset_days],
-            "window_far_days": args.window_far_days,
-            "soft_margin": args.soft_margin,
-        },
-    )
+    _echo_config(args, cohort)
     print(f"wrote labels for {report.retained} patients to {out / 'labels.csv'}")
     return 0
 
@@ -268,17 +251,7 @@ def _cmd_features(args) -> int:
     write_features_csv(matrix, out / "features.csv")
     report.write(out / "filter_report.json")
     _echo_config(
-        out,
-        "features",
-        {
-            "in": args.in_dir,
-            "out": str(out),
-            "version": args.version.value,
-            "extra_version": args.extra_version.value if args.extra_version else None,
-            "window_close": [args.window_close.start_offset_days, args.window_close.end_offset_days],
-            "window_far_days": args.window_far_days,
-            "soft_margin": args.soft_margin,
-        },
+        args, cohort, version=args.version.value, extra_version=args.extra_version.value if args.extra_version else None
     )
     print(f"wrote {len(matrix.column_names)}-column matrix for {report.retained} patients")
     return 0
@@ -291,7 +264,7 @@ def _cmd_select(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_ranking_csv(ranking, out / "ranking.csv")
-    _echo_config(out, "select", {"features": args.features, "out": str(out), "k": k})
+    _echo_config(args, features=args.features, k=k)
     print(f"wrote top-{k} ranking to {out / 'ranking.csv'}")
     return 0
 
@@ -305,15 +278,7 @@ def _cmd_evaluate(args) -> int:
         raise ValueError("empty cohort after inclusion filters")
     if args.k_min < 1 or args.k_min > args.k_max:
         raise ValueError(f"invalid k range [{args.k_min}, {args.k_max}]")
-    hp = Hyperparameters(
-        tree_max_depth=args.tree_max_depth,
-        tree_min_leaf=args.tree_min_leaf,
-        ada_rounds=args.ada_rounds,
-        gbt_rounds=args.gbt_rounds,
-        gbt_depth=args.gbt_depth,
-        gbt_learning_rate=args.gbt_learning_rate,
-        gbt_l2=args.gbt_l2,
-    )
+    hp = Hyperparameters(**{field.name: getattr(args, field.name) for field in fields(Hyperparameters)})
     sweep = run_sweep(
         filtered,
         versions=args.versions,
@@ -332,21 +297,14 @@ def _cmd_evaluate(args) -> int:
     write_consistency_csv(sweep, out / "consistency.csv")
     report.write(out / "filter_report.json")
     _echo_config(
-        out,
-        "evaluate",
-        {
-            "in": args.in_dir,
-            "out": str(out),
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "versions": [v.value for v in args.versions],
-            "k_min": args.k_min,
-            "k_max": args.k_max,
-            "window_close": [args.window_close.start_offset_days, args.window_close.end_offset_days],
-            "window_far_days": args.window_far_days,
-            "soft_margin": args.soft_margin,
-            "hyperparameters": hp.to_dict(),
-        },
+        args,
+        cohort,
+        seed=args.seed,
+        jobs=args.jobs,
+        versions=[v.value for v in args.versions],
+        k_min=args.k_min,
+        k_max=args.k_max,
+        hyperparameters=hp.to_dict(),
     )
     best = max(sweep.summary(), key=lambda row: row[3])
     print(

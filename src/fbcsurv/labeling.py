@@ -113,6 +113,8 @@ def _pair_labels(
     margin: float,
 ) -> np.ndarray:
     """Maximum candidate label per pair, (n_pairs, 7): V1..V6, then the group; 1 for a pair without usable results."""
+    if far_days < 0:
+        raise ValueError(f"far_days must be >= 0, got {far_days}")  # a negative horizon makes every V3 label 1
     hard, soft = range_codes(obs.value, obs.ref_low, obs.ref_high, margin)
     usable = offset <= window.end_offset_days  # history ends at the close window's post-diagnosis edge
     hard_usable = (hard != 0) & usable

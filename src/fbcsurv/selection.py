@@ -77,11 +77,10 @@ def select_top_k(matrix: FeatureMatrix, k: int, rows: np.ndarray | None = None) 
     return rank_features(X, y, matrix.column_names, k)
 
 
-def write_ranking_csv(ranking: FeatureRanking, path: str | Path, selected_only: bool = True) -> None:
-    """ranking.csv: rank, column_name, chi2 (the selected prefix by default)."""
-    entries = ranking.entries[: ranking.k] if selected_only else ranking.entries
+def write_ranking_csv(ranking: FeatureRanking, path: str | Path) -> None:
+    """ranking.csv: rank, column_name, chi2 of the selected prefix."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "column_name", "chi2"])
-        for rank, (name, stat) in enumerate(entries, start=1):
+        for rank, (name, stat) in enumerate(ranking.entries[: ranking.k], start=1):
             writer.writerow([rank, name, repr(stat)])

@@ -1,15 +1,19 @@
+import argparse
 import json
 import os
 import shutil
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 import fbcsurv.cohort
 import fbcsurv.evaluation
-from fbcsurv.cli import main
+from fbcsurv.classifiers import Hyperparameters
+from fbcsurv.cli import build_parser, main
 from fbcsurv.cohort import CSV_FILES, SIDECAR, CohortError, ingest_cohort, read_cohort, write_cohort
+from fbcsurv.labeling import DEFAULT_WINDOW, FAR_DAYS_DEFAULT, DiagnosisWindow, Version
+from fbcsurv.ranges import SOFT_MARGIN_DEFAULT
 
 from conftest import write_csvs
 
@@ -380,6 +384,9 @@ def test_synth_rejects_a_malformed_config(tmp_path, capsys, config_text, problem
     assert not (tmp_path / "o").exists()
 
 
+FAST_EVALUATE = ["--versions", "v1", "--k-min", "5", "--k-max", "5", "--ada-rounds", "5", "--gbt-rounds", "5"]
+
+
 @pytest.mark.parametrize("command", ["stats", "label", "features", "evaluate"])
 def test_non_finite_soft_margin_rejected(cohort_dir, tmp_path, capsys, command):
     # a NaN margin used to make every V5 label 1 and an infinite one every V5 label 2, with exit 0
@@ -387,7 +394,116 @@ def test_non_finite_soft_margin_rejected(cohort_dir, tmp_path, capsys, command):
         code, _, err = run(capsys, command, "--in", str(cohort_dir), "--out", str(tmp_path / margin), f"--soft-margin={margin}")
         assert code == 1
         assert err == f"error: soft_margin must be finite, got {margin}\n"
-    fast = ["--versions", "v1", "--k-min", "5", "--k-max", "5", "--ada-rounds", "5", "--gbt-rounds", "5"]
     for margin in ("-0.2", "0.7"):
-        extra = fast if command == "evaluate" else []
+        extra = FAST_EVALUATE if command == "evaluate" else []
         assert main([command, "--in", str(cohort_dir), "--out", str(tmp_path / margin), f"--soft-margin={margin}", *extra]) == 0
+
+
+@pytest.mark.parametrize("command", ["label", "features", "evaluate"])
+def test_negative_far_days_rejected(cohort_dir, tmp_path, capsys, command):
+    # a negative far horizon used to make every V3 label 1, with exit 0
+    extra = FAST_EVALUATE if command == "evaluate" else []
+    for days in ("-400", "-1"):
+        code, _, err = run(capsys, command, "--in", str(cohort_dir), "--out", str(tmp_path / days), f"--window-far-days={days}", *extra)
+        assert code == 1
+        assert err == f"error: far_days must be >= 0, got {days}\n"
+    assert main([command, "--in", str(cohort_dir), "--out", str(tmp_path / "0"), "--window-far-days=0", *extra]) == 0
+
+
+def _flag_surface(parser) -> dict:
+    """(option strings, dest, type name, default) of every flag, per subcommand."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [
+            (tuple(a.option_strings), a.dest, getattr(a.type, "__name__", None), a.default)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_flag_surface():
+    cohort_input = [(("--in",), "in_dir", None, None), (("--data-end-date",), "data_end_date", None, None)]
+    out = [(("--out",), "out", None, None)]
+    close = [(("--window-close",), "window_close", "_parse_window", DiagnosisWindow(-60, 30))]
+    far = [(("--window-far-days",), "window_far_days", "int", 180)]
+    margin = [(("--soft-margin",), "soft_margin", "float", 0.025)]
+    assert _flag_surface(build_parser()) == {
+        "synth": [
+            (("--n",), "n", "int", None),
+            (("--seed",), "seed", "int", None),
+            *out,
+            (("--config",), "config", None, None),
+            (("--p-death",), "p_death", None, None),
+            (("--p-oor-risk",), "p_oor_risk", "float", None),
+            (("--p-oor-norisk",), "p_oor_norisk", "float", None),
+            (("--latent-risk",), "latent_risk", "float", None),
+            (("--window-bias",), "window_bias", "float", None),
+            (("--sex-delta",), "sex_delta", "float", None),
+            (("--female-g3-boost",), "female_g3_boost", "float", None),
+        ],
+        "ingest": [*cohort_input, *out],
+        "stats": [
+            *cohort_input,
+            *out,
+            *close,
+            *margin,
+            (("--pre-filter-stats", "--no-pre-filter-stats"), "pre_filter_stats", None, True),
+        ],
+        "label": [*cohort_input, *out, *close, *far, *margin],
+        "features": [
+            *cohort_input,
+            *out,
+            (("--version",), "version", "Version", Version.V1),
+            (("--extra-version",), "extra_version", "Version", None),
+            *close,
+            *far,
+            *margin,
+        ],
+        "select": [
+            (("--features",), "features", None, None),
+            (("--k",), "k", "int", None),
+            *out,
+        ],
+        "evaluate": [
+            *cohort_input,
+            *out,
+            (("--seed",), "seed", "int", 0),
+            (("--jobs",), "jobs", "int", 1),
+            (("--versions",), "versions", "_parse_versions", tuple(Version)),
+            (("--k-min",), "k_min", "int", 5),
+            (("--k-max",), "k_max", "int", 25),
+            *close,
+            *far,
+            *margin,
+            (("--tree-max-depth",), "tree_max_depth", "int", 4),
+            (("--tree-min-leaf",), "tree_min_leaf", "int", 5),
+            (("--ada-rounds",), "ada_rounds", "int", 50),
+            (("--gbt-rounds",), "gbt_rounds", "int", 100),
+            (("--gbt-depth",), "gbt_depth", "int", 3),
+            (("--gbt-learning-rate",), "gbt_learning_rate", "float", 0.1),
+            (("--gbt-l2",), "gbt_l2", "float", 1.0),
+        ],
+    }
+
+
+def test_evaluate_default_echo(cohort_dir, tmp_path):
+    out = tmp_path / "e"
+    assert main(["evaluate", "--in", str(cohort_dir), "--out", str(out), "--versions", "v1", "--k-min", "5", "--k-max", "5"]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert config["hyperparameters"] == Hyperparameters().to_dict()
+    assert config["window_far_days"] == FAR_DAYS_DEFAULT
+    assert config["soft_margin"] == SOFT_MARGIN_DEFAULT
+    assert config["window_close"] == [DEFAULT_WINDOW.start_offset_days, DEFAULT_WINDOW.end_offset_days]
+
+
+@pytest.mark.parametrize("command", ["ingest", "stats", "label", "features", "evaluate"])
+def test_cohort_commands_echo_the_resolved_data_end_date(cohort_dir, tmp_path, command):
+    extra = FAST_EVALUATE if command == "evaluate" else []
+    meta = json.loads((cohort_dir / "meta.json").read_text())["data_end_date"]
+    assert main([command, "--in", str(cohort_dir), "--out", str(tmp_path / "meta"), *extra]) == 0
+    assert json.loads((tmp_path / "meta" / "config.json").read_text())["data_end_date"] == meta
+    later = (date.fromisoformat(meta) + timedelta(days=90)).isoformat()
+    assert main([command, "--in", str(cohort_dir), "--out", str(tmp_path / "flag"), "--data-end-date", later, *extra]) == 0
+    assert json.loads((tmp_path / "flag" / "config.json").read_text())["data_end_date"] == later

@@ -3,6 +3,7 @@ import io
 import re
 import shutil
 import tempfile
+import zipfile
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -277,6 +278,31 @@ def test_write_cohort_saves_a_sidecar_that_read_cohort_trusts(synth_dir, parses)
     assert cohort == parse(synth_dir, cohort.data_end_date)
     # np.load drops the buffer dtype's align flag; without it the joined slices get another dtype
     assert np.concatenate([p.observations.rows for p in cohort.patients]).dtype == fbcsurv.cohort.OBSERVATION_DTYPE
+
+
+def _saved_records(cohort_dir: Path) -> np.ndarray:
+    """The bytes of each observation record as cohort.npz holds them, (records, itemsize) uint8."""
+    # np.load would copy the records field by field into a fresh buffer, so the file's padding is read raw
+    with zipfile.ZipFile(cohort_dir / SIDECAR) as archive, archive.open("rows.npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+        header(fh)
+        return np.frombuffer(fh.read(), dtype=np.uint8).reshape(-1, fbcsurv.cohort.OBSERVATION_DTYPE.itemsize)
+
+
+def test_sidecar_records_have_zero_padding(tmp_path, parses):
+    # a cohort loaded through its sidecar used to save process memory in the bytes between records' fields
+    write_cohort(generate(GeneratorConfig(n_patients=60, seed=5)), tmp_path / "built")
+    write_cohort(read_cohort(tmp_path / "built"), tmp_path / "loaded")
+    assert parses == []
+    built, loaded = _saved_records(tmp_path / "built"), _saved_records(tmp_path / "loaded")
+    assert built.tobytes() == loaded.tobytes()
+    dtype = fbcsurv.cohort.OBSERVATION_DTYPE
+    padding = np.ones(dtype.itemsize, dtype=bool)
+    for field, offset in dtype.fields.values():
+        padding[offset : offset + field.itemsize] = False
+    assert padding.any()
+    assert not built[:, padding].any()
 
 
 def test_edited_observations_are_parsed_again(synth_dir, parses):
