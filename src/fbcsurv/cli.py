@@ -20,6 +20,7 @@ from .cohort import (
     CohortError,
     apply_followup_filter,
     apply_inclusion_filters,
+    inclusion_mask,
     read_cohort,
     write_cohort,
 )
@@ -200,7 +201,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_ingest(args) -> int:
     cohort = _load_cohort(args)
-    filtered, report = apply_inclusion_filters(cohort)
+    _, report = inclusion_mask(cohort)  # the report only: ingest writes the whole cohort
     out = Path(args.out)
     write_cohort(cohort, out, source=Path(args.in_dir))
     report.write(out / "filter_report.json")
@@ -274,7 +275,7 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cohort = _load_cohort(args)
     filtered, report = apply_inclusion_filters(cohort)
-    if not filtered.patients:
+    if not len(filtered):
         raise ValueError("empty cohort after inclusion filters")
     if args.k_min < 1 or args.k_min > args.k_max:
         raise ValueError(f"invalid k range [{args.k_min}, {args.k_max}]")

@@ -5,10 +5,13 @@ an optional death date, and a history of timestamped pathology observations.
 Each observation carries its own laboratory reference range because normal
 ranges vary by reporting laboratory.
 
-Observations are stored column-wise: one record buffer per cohort holds the
-measure code, value, date ordinal and range bounds of every result, grouped
-by patient and in file order within a patient, and each patient's
-`Observations` is a slice of it. No per-observation Python object is built.
+A `Cohort` is columns: one entry per patient for the id, sex, age, diagnosis
+and death date ordinals and result count, and one record buffer that holds
+the measure code, value, date ordinal and range bounds of every result,
+grouped by patient and in file order within a patient. Reading, filtering,
+labeling and writing work on these columns; `Cohort.of` and
+`Cohort.patients` are the one conversion from and to per-patient
+`PatientRecord`s, whose `Observations` are slices of the buffer.
 
 Every `write_cohort` also saves the validated columns as `cohort.npz`, a
 sidecar that holds the sha256 of the two CSVs it mirrors. `read_cohort` loads
@@ -23,6 +26,7 @@ instead of serialising them again.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -32,7 +36,7 @@ import shutil
 import zipfile
 from array import array
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
@@ -46,10 +50,12 @@ SIDECAR = "cohort.npz"
 # source's sidecar of this version holds the same arrays; that proves the CSVs
 # only while the text write_cohort makes of those arrays stays the same. Bump
 # the version whenever the sidecar layout or the CSV text format changes.
-SIDECAR_VERSION = 1
+# Version 2 saves the observation records as their raw bytes.
+SIDECAR_VERSION = 2
 SIDECAR_ARRAYS = ("rows", "counts", "patient_id", "sex", "age", "diagnosis", "death")
 CSV_FILES = ("patients.csv", "observations.csv")
 NO_DEATH = 0  # death ordinal of a patient without a death date; real ordinals start at 1
+INT64 = np.iinfo(np.int64)  # the range of the age column
 
 PATIENTS_COLUMNS = ["patient_id", "sex", "age_at_diagnosis", "diagnosis_date", "death_date"]
 OBSERVATIONS_COLUMNS = ["patient_id", "measure", "value", "date", "ref_low", "ref_high"]
@@ -107,26 +113,13 @@ class ReferenceRange:
         if not (self.low < self.high):
             raise ValueError(f"reference range inverted: low={self.low} >= high={self.high}")
 
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
 
 OBSERVATION_DTYPE = np.dtype(
     [("value", np.float64), ("ref_low", np.float64), ("ref_high", np.float64), ("day", np.int32), ("measure", np.int8)],
     align=True,
 )
-# align=True pads each record after its last field; these bytes belong to no column
-_PADDING = slice(max(offset + dtype.itemsize for dtype, offset in OBSERVATION_DTYPE.fields.values()), None)
-
-
-def _join_rows(parts: list[Observations]) -> np.ndarray:
-    """The records of `parts`, in order, in one new writable buffer."""
-    if not parts:
-        return np.zeros(0, OBSERVATION_DTYPE)
-    # joined as opaque records: np.concatenate copies a structured dtype field by field, about 7x slower
-    record = np.dtype((np.void, OBSERVATION_DTYPE.itemsize))
-    return np.concatenate([p.rows.view(record) for p in parts]).view(OBSERVATION_DTYPE)
+# the records as opaque items: copying a structured array copies it field by field and leaves padding unset
+_RECORD = np.dtype((np.void, OBSERVATION_DTYPE.itemsize))
 
 
 class Observations:
@@ -156,10 +149,6 @@ class Observations:
         rows["ref_low"] = ref_low
         rows["ref_high"] = ref_high
         return cls(rows)
-
-    @classmethod
-    def concat(cls, parts: list[Observations]) -> Observations:
-        return cls(_join_rows(parts))
 
     @property
     def measure(self) -> np.ndarray:
@@ -222,18 +211,105 @@ class PatientRecord:
         return bool(self.observations.measure_counts().all())
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """Immutable patient collection plus the last date covered by the extract."""
+# a patient's (sex, age, diagnosis ordinal, death ordinal), as the Cohort columns of those names hold them
+PATIENT_DTYPE = np.dtype([("sex", "U1"), ("age", np.int64), ("diagnosis", np.int64), ("death", np.int64)])
+_PATIENT_ARRAYS = (*PATIENT_DTYPE.names, "counts")  # the Cohort columns that are numpy arrays
 
-    patients: tuple[PatientRecord, ...]
+
+def patient_columns(rows) -> dict[str, np.ndarray]:
+    """The sex, age, diagnosis and death columns of a cohort, from one PATIENT_DTYPE tuple per patient."""
+    table = np.array(rows, dtype=PATIENT_DTYPE)
+    return {name: table[name].copy() for name in PATIENT_DTYPE.names}
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Immutable patient collection, column-wise, plus the last date covered by the extract.
+
+    Patient i is `patient_ids[i]`, `sex[i]` ("M" or "F"), `age[i]`, `diagnosis[i]`
+    and `death[i]` (date ordinals; NO_DEATH for none), and its `counts[i]`
+    results follow those of patients 0..i-1 in `observations`.
+    """
+
+    patient_ids: tuple[str, ...]
+    sex: np.ndarray
+    age: np.ndarray
+    diagnosis: np.ndarray
+    death: np.ndarray
+    counts: np.ndarray
+    observations: Observations
     data_end_date: date
 
-    def __len__(self) -> int:
-        return len(self.patients)
+    @classmethod
+    def of(cls, patients, data_end_date: date) -> Cohort:
+        """The cohort of these PatientRecords, in order.
 
-    def patient_ids(self) -> tuple[str, ...]:
-        return tuple(p.patient_id for p in self.patients)
+        Raises ValueError, naming the patient, for a value that no column holds
+        exactly: an age that is not an int (a bool or a float) or not within
+        int64, and a diagnosis or death date that is not a `date` (a `datetime`).
+        """
+        patients = tuple(patients)
+        for p in patients:
+            age, diagnosis, death = p.age_at_diagnosis, p.diagnosis_date, p.death_date
+            if type(age) is not int or not INT64.min <= age <= INT64.max:
+                raise ValueError(f"patient {p.patient_id!r}: age_at_diagnosis must be an int within int64, got {age!r}")
+            if type(diagnosis) is not date or (death is not None and type(death) is not date):
+                raise ValueError(f"patient {p.patient_id!r}: dates must be datetime.date, got {diagnosis!r}, {death!r}")
+        rows = [
+            (p.sex.value, p.age_at_diagnosis, p.diagnosis_date.toordinal(),
+             NO_DEATH if p.death_date is None else p.death_date.toordinal())
+            for p in patients
+        ]
+        parts = [p.observations for p in patients] or [Observations.from_columns([], [], [], [], [])]
+        columns = ("measure", "value", "day", "ref_low", "ref_high")  # from_columns' order
+        return cls(
+            patient_ids=tuple(p.patient_id for p in patients),
+            **patient_columns(rows),
+            counts=np.array([len(p.observations) for p in patients], dtype=np.int64),
+            observations=Observations.from_columns(*(np.concatenate([getattr(o, c) for o in parts]) for c in columns)),
+            data_end_date=data_end_date,
+        )
+
+    @property
+    def patients(self) -> tuple[PatientRecord, ...]:
+        """One PatientRecord per patient, built on each access; their observations are views of the buffer."""
+        day = functools.cache(date.fromordinal)
+        columns = zip(self.sex.tolist(), self.age.tolist(), self.diagnosis.tolist(), self.death.tolist())
+        return tuple(
+            PatientRecord(pid, Sex(sex), age, day(diagnosis), None if death == NO_DEATH else day(death), obs)
+            for pid, (sex, age, diagnosis, death), obs in zip(
+                self.patient_ids, columns, self.observations.split(self.counts)
+            )
+        )
+
+    def patient_of(self) -> np.ndarray:
+        """The patient index of each observation record."""
+        return np.repeat(np.arange(len(self)), self.counts)
+
+    def take(self, keep: np.ndarray) -> Cohort:
+        """The cohort of the patients where the boolean mask `keep` is true, in order."""
+        if keep.all():
+            return self  # nothing to drop, and a cohort is immutable
+        rows = self.observations.rows.view(_RECORD)[np.repeat(keep, self.counts)].view(OBSERVATION_DTYPE)
+        return dataclasses.replace(
+            self,
+            patient_ids=tuple(pid for pid, kept in zip(self.patient_ids, keep.tolist()) if kept),
+            observations=Observations(rows),
+            **{name: getattr(self, name)[keep] for name in _PATIENT_ARRAYS},
+        )
+
+    def __len__(self) -> int:
+        return len(self.patient_ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        return (
+            self.patient_ids == other.patient_ids
+            and self.data_end_date == other.data_end_date
+            and self.observations == other.observations
+            and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _PATIENT_ARRAYS)
+        )
 
 
 @dataclass
@@ -245,11 +321,7 @@ class FilterReport:
     retained: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "removed_insufficient_followup": self.removed_insufficient_followup,
-            "removed_incomplete_panel": self.removed_incomplete_panel,
-            "retained": self.retained,
-        }
+        return dataclasses.asdict(self)
 
     def write(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -257,11 +329,34 @@ class FilterReport:
             fh.write("\n")
 
 
+def died_within_follow_up(diagnosis, death):
+    """The 2-year outcome rule on date ordinals, for scalars or arrays: a death within 730 days of diagnosis."""
+    return (death != NO_DEATH) & (death <= diagnosis + FOLLOW_UP_DAYS)
+
+
 def survival_label(patient: PatientRecord) -> SurvivalStatus:
     """Binary 2-year outcome: deceased iff death falls within 730 days of diagnosis."""
-    if patient.death_date is not None and patient.death_date <= patient.diagnosis_date + timedelta(days=FOLLOW_UP_DAYS):
-        return SurvivalStatus.DECEASED_WITHIN_2Y
-    return SurvivalStatus.SURVIVED_2Y
+    death = NO_DEATH if patient.death_date is None else patient.death_date.toordinal()
+    return SurvivalStatus(int(died_within_follow_up(patient.diagnosis_date.toordinal(), death)))
+
+
+def _followed_up(cohort: Cohort) -> np.ndarray:
+    """Per patient, whether the extract covers 2 years after diagnosis."""
+    return cohort.diagnosis + FOLLOW_UP_DAYS <= cohort.data_end_date.toordinal()
+
+
+def inclusion_mask(cohort: Cohort) -> tuple[np.ndarray, FilterReport]:
+    """Per patient, whether it passes the inclusion filters, and the report of removals per reason."""
+    followed = _followed_up(cohort)
+    pair = cohort.patient_of() * len(MEASURES) + cohort.observations.measure
+    full_panel = np.bincount(pair, minlength=len(cohort) * len(MEASURES)).reshape(-1, len(MEASURES)).all(axis=1)
+    keep = followed & full_panel
+    report = FilterReport(
+        removed_insufficient_followup=int((~followed).sum()),
+        removed_incomplete_panel=int((followed & ~full_panel).sum()),
+        retained=int(keep.sum()),
+    )
+    return keep, report
 
 
 def apply_inclusion_filters(cohort: Cohort) -> tuple[Cohort, FilterReport]:
@@ -270,18 +365,8 @@ def apply_inclusion_filters(cohort: Cohort) -> tuple[Cohort, FilterReport]:
     Returns a new cohort (input untouched) and a report of removals per reason.
     A patient failing both checks is counted under insufficient follow-up.
     """
-    report = FilterReport()
-    kept = []
-    for patient in cohort.patients:
-        if patient.diagnosis_date + timedelta(days=FOLLOW_UP_DAYS) > cohort.data_end_date:
-            report.removed_insufficient_followup += 1
-            continue
-        if not patient.has_full_panel():
-            report.removed_incomplete_panel += 1
-            continue
-        kept.append(patient)
-    report.retained = len(kept)
-    return Cohort(patients=tuple(kept), data_end_date=cohort.data_end_date), report
+    keep, report = inclusion_mask(cohort)
+    return cohort.take(keep), report
 
 
 def apply_followup_filter(cohort: Cohort) -> Cohort:
@@ -290,10 +375,7 @@ def apply_followup_filter(cohort: Cohort) -> Cohort:
     Used for history-group statistics, which are meaningful per measure even
     when a patient is missing some other measure.
     """
-    kept = tuple(
-        p for p in cohort.patients if p.diagnosis_date + timedelta(days=FOLLOW_UP_DAYS) <= cohort.data_end_date
-    )
-    return Cohort(patients=kept, data_end_date=cohort.data_end_date)
+    return cohort.take(_followed_up(cohort))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +423,8 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
     pfile = str(patients_file)
     ofile = str(observations_file)
 
-    # patient_id -> (sex, age, diagnosis, death), in file order
-    patients: dict[str, tuple[Sex, int, date, date | None]] = {}
+    # patient_id -> (sex, age, diagnosis ordinal, death ordinal), in file order
+    patients: dict[str, tuple[str, int, int, int]] = {}
     with open(patients_file, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -360,7 +442,7 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
                 problems.append(f"{pfile}:{line}: field 'patient_id': duplicate patient_id {pid!r}")
                 continue
             try:
-                sex = Sex(sex_raw)
+                Sex(sex_raw)
             except ValueError:
                 problems.append(f"{pfile}:{line}: field 'sex': must be M or F, got {sex_raw!r}")
                 continue
@@ -370,6 +452,11 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
                     raise ValueError
             except ValueError:
                 problems.append(f"{pfile}:{line}: field 'age_at_diagnosis': must be a non-negative integer, got {age_raw!r}")
+                continue
+            if age > INT64.max:
+                problems.append(
+                    f"{pfile}:{line}: field 'age_at_diagnosis': must be at most {INT64.max}, got {age_raw!r}"
+                )
                 continue
             diagnosis = _parse_date(diag_raw, pfile, line, "diagnosis_date", problems)
             if diagnosis is None:
@@ -385,7 +472,7 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
                         f"precedes diagnosis_date {diagnosis.isoformat()}"
                     )
                     continue
-            patients[pid] = (sex, age, diagnosis, death)
+            patients[pid] = (sex_raw, age, diagnosis.toordinal(), NO_DEATH if death is None else death.toordinal())
 
     index = {pid: i for i, pid in enumerate(patients)}
     code_of = {m.value: code for m, code in MEASURE_CODE.items()}
@@ -445,20 +532,19 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
 
     patient_of = np.frombuffer(patient_col, dtype=np.int64)
     order = np.argsort(patient_of, kind="stable")  # group by patient, file order within one
-    buffer = Observations.from_columns(
+    observations = Observations.from_columns(
         *(np.frombuffer(col, dtype=dtype)[order] for col, dtype in (
             (measure_col, np.int8), (value_col, np.float64), (day_col, np.int64),
             (low_col, np.float64), (high_col, np.float64),
         ))
     )
-    per_patient = buffer.split(np.bincount(patient_of, minlength=len(patients)))
-    records = tuple(
-        PatientRecord(
-            patient_id=pid, sex=sex, age_at_diagnosis=age, diagnosis_date=diagnosis, death_date=death, observations=obs
-        )
-        for (pid, (sex, age, diagnosis, death)), obs in zip(patients.items(), per_patient)
+    return Cohort(
+        patient_ids=tuple(patients),
+        **patient_columns(list(patients.values())),
+        counts=np.bincount(patient_of, minlength=len(patients)),
+        observations=observations,
+        data_end_date=data_end_date,
     )
-    return Cohort(patients=records, data_end_date=data_end_date)
 
 
 def write_cohort(cohort: Cohort, out_dir: str | Path, *, source: str | Path | None = None) -> None:
@@ -467,7 +553,7 @@ def write_cohort(cohort: Cohort, out_dir: str | Path, *, source: str | Path | No
     With `source`, a cohort directory, the two CSVs are copied from it byte
     for byte when its cohort.npz proves they are exactly what this call would
     write: the sidecar loads, has this format version and the hashes of the
-    CSVs there, and holds this cohort's arrays, floats compared bit for bit.
+    CSVs there, and holds this cohort's arrays, the records byte for byte.
     Otherwise they are serialised. meta.json and the sidecar are written
     either way, the sidecar hashing the CSVs now in `out_dir`.
 
@@ -476,8 +562,7 @@ def write_cohort(cohort: Cohort, out_dir: str | Path, *, source: str | Path | No
     trailing whitespace (the parser strips fields) and one holding a carriage
     return (csv.writer leaves it unquoted, so it splits the row).
     """
-    for p in cohort.patients:
-        pid = p.patient_id
+    for pid in cohort.patient_ids:
         if not pid or pid != pid.strip() or "\r" in pid:
             raise ValueError(f"patient_id {pid!r} would not read back: it is empty, padded or holds a carriage return")
     out = Path(out_dir)
@@ -499,30 +584,29 @@ def write_cohort(cohort: Cohort, out_dir: str | Path, *, source: str | Path | No
 
 
 def _serialise_csvs(cohort: Cohort, out: Path) -> None:
+    iso = functools.cache(lambda day: date.fromordinal(day).isoformat())
     with open(out / "patients.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PATIENTS_COLUMNS)
-        for p in cohort.patients:
-            writer.writerow(
-                [
-                    p.patient_id,
-                    p.sex.value,
-                    p.age_at_diagnosis,
-                    p.diagnosis_date.isoformat(),
-                    p.death_date.isoformat() if p.death_date else "",
-                ]
+        writer.writerows(
+            zip(
+                cohort.patient_ids,
+                cohort.sex.tolist(),
+                cohort.age.tolist(),
+                map(iso, cohort.diagnosis.tolist()),
+                ("" if day == NO_DEATH else iso(day) for day in cohort.death.tolist()),
             )
+        )
     names = [m.value for m in MEASURES]
-    iso = functools.cache(lambda day: date.fromordinal(day).isoformat())
     with open(out / "observations.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OBSERVATIONS_COLUMNS)
-        for p in cohort.patients:
-            o = p.observations
+        # one patient's slice at a time, so the Python values of the whole buffer never exist at once
+        for pid, o in zip(cohort.patient_ids, cohort.observations.split(cohort.counts)):
             # .tolist() gives Python floats, whose repr is the shortest round-trip text
             writer.writerows(
                 zip(
-                    repeat(p.patient_id),
+                    repeat(pid),
                     map(names.__getitem__, o.measure.tolist()),
                     map(repr, o.value.tolist()),
                     map(iso, o.day.tolist()),
@@ -542,33 +626,13 @@ def _sha256(path: Path) -> str:
 
 def _sidecar_arrays(cohort: Cohort) -> dict[str, np.ndarray] | None:
     """The cohort's columns as the sidecar saves them, or None when they cannot determine its CSV text."""
-    patients = cohort.patients
-    ids = [p.patient_id for p in patients]
-    if any("\0" in pid for pid in ids):
+    if any("\0" in pid for pid in cohort.patient_ids):
         return None  # a numpy str array drops trailing NULs, so it cannot hold these ids exactly
-    # the CSVs write str(age) and isoformat(): a float or bool age, or a datetime, writes other text than its column
-    if not all(
-        type(p.age_at_diagnosis) is int
-        and type(p.diagnosis_date) is date
-        and (p.death_date is None or type(p.death_date) is date)
-        for p in patients
-    ):
-        return None
-    try:
-        ages = np.array([p.age_at_diagnosis for p in patients], dtype=np.int64)
-    except OverflowError:
-        return None  # an age beyond int64 has no exact column
-    rows = _join_rows([p.observations for p in patients])
-    # np.load leaves a record's padding unset, so records joined from a loaded cohort would save process memory
-    rows.view(np.uint8).reshape(-1, OBSERVATION_DTYPE.itemsize)[:, _PADDING] = 0
     return {
-        "rows": rows,
-        "counts": np.array([len(p.observations) for p in patients], dtype=np.int64),
-        "patient_id": np.array(ids, dtype=str),
-        "sex": np.array([p.sex.value for p in patients], dtype="U1"),
-        "age": ages,
-        "diagnosis": np.array([p.diagnosis_date.toordinal() for p in patients], dtype=np.int64),
-        "death": np.array([p.death_date.toordinal() if p.death_date else NO_DEATH for p in patients], dtype=np.int64),
+        # the records' bytes: np.load copies a structured array field by field, into a buffer with unset padding
+        "rows": np.ascontiguousarray(cohort.observations.rows).view(np.uint8),
+        "patient_id": np.array(cohort.patient_ids, dtype=str),
+        **{name: getattr(cohort, name) for name in _PATIENT_ARRAYS},
     }
 
 
@@ -612,22 +676,14 @@ def _proves_csvs(source: Path, arrays: dict[str, np.ndarray]) -> bool:
 
     A checked sidecar holds the hashes of the CSVs that write_cohort wrote
     from its arrays, and for one SIDECAR_VERSION that text is a function of
-    those arrays alone; so equal arrays mean equal CSV bytes.
+    those arrays alone; so equal arrays mean equal CSV bytes. No sidecar
+    array holds floats (the records are saved as bytes), so equal values are
+    equal bits.
     """
     saved = _checked_sidecar(source)
-    return saved is not None and all(_same_bits(saved[name], array) for name, array in arrays.items())
-
-
-def _same_bits(saved: np.ndarray, built: np.ndarray) -> bool:
-    """Equal dtype, shape and values, field by field; floats compare by bit pattern, so -0.0 != 0.0."""
-    if saved.dtype != built.dtype or saved.shape != built.shape:
-        return False
-    if built.dtype.names:
-        return all(_same_bits(saved[name], built[name]) for name in built.dtype.names)
-    if built.dtype.kind == "f":
-        bits = np.dtype(f"u{built.dtype.itemsize}")
-        saved, built = saved.view(bits), built.view(bits)
-    return bool((saved == built).all())
+    return saved is not None and all(
+        saved[name].dtype == array.dtype and np.array_equal(saved[name], array) for name, array in arrays.items()
+    )
 
 
 def _load_sidecar(in_dir: Path, data_end_date: date) -> Cohort | None:
@@ -642,14 +698,14 @@ def _load_sidecar(in_dir: Path, data_end_date: date) -> Cohort | None:
     rows, counts, ids, sex, age, diagnosis, death = (saved[name] for name in SIDECAR_ARRAYS)
 
     n = ids.size
-    if rows.ndim != 1 or rows.dtype != OBSERVATION_DTYPE or rows.dtype.itemsize != OBSERVATION_DTYPE.itemsize:
+    if rows.ndim != 1 or rows.dtype != np.uint8 or rows.size % OBSERVATION_DTYPE.itemsize:
         return None
     columns = ((counts, "i"), (ids, "U"), (sex, "U"), (age, "i"), (diagnosis, "i"), (death, "i"))
     if any(col.shape != (n,) or col.dtype.kind != kind for col, kind in columns):
         return None
+    rows = rows.view(OBSERVATION_DTYPE)
     if (counts < 0).any() or counts.sum() != len(rows):
         return None
-    rows = rows.view(OBSERVATION_DTYPE)  # np.load drops align=True, which np.concatenate would then disagree on
 
     # the parser's row rules, vectorised
     value, low, high, day, measure = (rows[name] for name in ("value", "ref_low", "ref_high", "day", "measure"))
@@ -666,27 +722,14 @@ def _load_sidecar(in_dir: Path, data_end_date: date) -> Cohort | None:
         and ((death == NO_DEATH) | ((death >= diagnosis) & (death <= last_day))).all()
     ):
         return None
-    ids = ids.tolist()
+    ids = tuple(ids.tolist())
     # the parser strips fields, and csv.writer leaves a carriage return unquoted, which splits the row
     if len(set(ids)) != n or not all(pid and pid == pid.strip() and "\r" not in pid for pid in ids):
         return None
-
-    sex_of = {s.value: s for s in Sex}
-    day_of = functools.cache(date.fromordinal)
-    records = tuple(
-        PatientRecord(
-            patient_id=pid,
-            sex=sex_of[s],
-            age_at_diagnosis=a,
-            diagnosis_date=day_of(d),
-            death_date=None if dd == NO_DEATH else day_of(dd),
-            observations=obs,
-        )
-        for pid, s, a, d, dd, obs in zip(
-            ids, sex.tolist(), age.tolist(), diagnosis.tolist(), death.tolist(), Observations(rows).split(counts)
-        )
+    return Cohort(
+        patient_ids=ids, sex=sex, age=age, diagnosis=diagnosis, death=death, counts=counts,
+        observations=Observations(rows), data_end_date=data_end_date,
     )
-    return Cohort(patients=records, data_end_date=data_end_date)
 
 
 def _read_data_end_date(meta_path: Path) -> date:

@@ -19,8 +19,8 @@ import numpy as np
 # fit_model and predict stay module globals, unused or not: perfbench/tracing.py rebinds them
 from .classifiers import MODEL_FAMILIES, Hyperparameters, fit_group, fit_model, predict  # noqa: F401
 from .classifiers.splits import BinnedMatrix
-from .cohort import MEASURES, Cohort, Measure, SurvivalStatus, survival_label
-from .features import FeatureMatrix, build_matrix
+from .cohort import MEASURES, Cohort, Measure, died_within_follow_up
+from .features import FeatureMatrix, age_group, build_matrix
 from .labeling import (
     DEFAULT_WINDOW,
     FAR_DAYS_DEFAULT,
@@ -212,7 +212,7 @@ def run_sweep(
     independent of the job count: tasks are assembled in a fixed order and
     the fold plan and matrices are built once up front.
     """
-    if not cohort.patients:
+    if not len(cohort):
         raise ValueError("empty cohort after inclusion filters")
     if not versions or not k_values:
         raise ValueError("need at least one labeling version and one k value")
@@ -288,16 +288,13 @@ def cohort_stats(
     table can be computed on a cohort that has not passed the all-measures
     panel filter. Strata: 'all', 'sex:F', 'sex:M', then 'age:<decade>'.
     """
-    groups = history_groups(cohort.patients, window, margin)
-    deceased = np.array([survival_label(p) is SurvivalStatus.DECEASED_WITHIN_2Y for p in cohort.patients], dtype=bool)
+    groups = history_groups(cohort, window, margin)
+    deceased = died_within_follow_up(cohort.diagnosis, cohort.death)
 
-    strata: list[tuple[str, np.ndarray]] = []
-    n = len(cohort.patients)
-    strata.append(("all", np.ones(n, dtype=bool)))
-    sexes = np.array([p.sex.value for p in cohort.patients])
+    strata: list[tuple[str, np.ndarray]] = [("all", np.ones(len(cohort), dtype=bool))]
     for sex in ("F", "M"):
-        strata.append((f"sex:{sex}", sexes == sex))
-    decades = np.array([p.age_at_diagnosis // 10 for p in cohort.patients])
+        strata.append((f"sex:{sex}", cohort.sex == sex))
+    decades = age_group(cohort.age)
     for decade in sorted(set(decades.tolist())):
         strata.append((f"age:{decade}", decades == decade))
 

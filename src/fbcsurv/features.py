@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import Cohort, Measure, MEASURES, Sex, survival_label
+from .cohort import Cohort, Measure, MEASURES, Sex, died_within_follow_up
 from .labeling import VERSION_INDEX, CohortLabels, Version
 
 SEX_CODE = {Sex.MALE: 1, Sex.FEMALE: 20}
@@ -32,10 +32,11 @@ PAIRS = tuple(combinations(MEASURES, 2))
 TRIPLES = tuple(combinations(MEASURES, 3))
 
 
-def age_group(age_at_diagnosis: int) -> int:
-    """Decade group: the first digit of the age (69 -> 6, 9 -> 0)."""
-    if age_at_diagnosis < 0:
-        raise ValueError(f"age must be non-negative, got {age_at_diagnosis}")
+def age_group(age_at_diagnosis):
+    """Decade group: the first digit of the age (69 -> 6, 9 -> 0), of one int or elementwise of an int array."""
+    negative = np.less(age_at_diagnosis, 0)
+    if negative.any():
+        raise ValueError(f"age must be non-negative, got {np.asarray(age_at_diagnosis)[negative].flat[0]}")
     return age_at_diagnosis // 10
 
 
@@ -108,16 +109,16 @@ def build_matrix(
     inputs is byte-identical after serialization.
     """
     columns = feature_columns(extra_version)
-    patient_ids = cohort.patient_ids()
+    patient_ids = cohort.patient_ids
     per_patient = labels.rows_for(patient_ids).astype(np.int64)
-    sex_code = np.array([SEX_CODE[p.sex] for p in cohort.patients], dtype=np.int64)
-    ages = np.array([age_group(p.age_at_diagnosis) for p in cohort.patients], dtype=np.int64)
+    sex_code = np.where(cohort.sex == Sex.MALE.value, SEX_CODE[Sex.MALE], SEX_CODE[Sex.FEMALE]).astype(np.int64)
+    ages = age_group(cohort.age)
     scheme = _scheme_block(per_patient[:, :, VERSION_INDEX[version]], sex_code)
     blocks = [scheme[:, :5], sex_code[:, None], ages[:, None], scheme[:, 5:]]
     if extra_version is not None:
         blocks.append(_scheme_block(per_patient[:, :, VERSION_INDEX[extra_version]], sex_code))
     X = np.hstack(blocks)
-    y = np.array([survival_label(p).value for p in cohort.patients], dtype=np.int64)
+    y = died_within_follow_up(cohort.diagnosis, cohort.death).astype(np.int64)
     return FeatureMatrix(
         column_names=columns,
         patient_ids=patient_ids,

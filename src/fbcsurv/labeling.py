@@ -7,9 +7,9 @@ always takes priority. The close window defaults to 60 days before through
 six-month schemes defaults to 180 days. Observations later than the close
 window's end are ignored by every scheme.
 
-`label_table` is the one implementation: a vectorised pass over a set of
-patients' pooled observations. The cohort functions and the per-patient
-functions (`label_patient`, `label_version`, `assign_group`) all call it.
+`_pair_labels` is the one implementation, a vectorised pass over pooled
+observations: `label_table` runs it on a cohort's buffer, and the per-patient
+functions (`label_patient`, `label_version`, `assign_group`) on one patient's.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _pair_labels(
 
 
 def label_table(
-    patients: tuple[PatientRecord, ...] | list[PatientRecord],
+    cohort: Cohort,
     window: DiagnosisWindow = DEFAULT_WINDOW,
     far_days: int = FAR_DAYS_DEFAULT,
     margin: float = SOFT_MARGIN_DEFAULT,
@@ -149,12 +149,10 @@ def label_table(
     column GROUP_COLUMN, and `counts`, (n_patients, 5), the number of results
     per pair. A pair with no results has count 0 and all labels 1.
     """
-    n = len(patients)
-    parts = [p.observations for p in patients]
-    obs = Observations.concat(parts)
-    patient_of = np.repeat(np.arange(n), [len(part) for part in parts])
-    diagnosis_day = np.array([p.diagnosis_date.toordinal() for p in patients], dtype=np.int64)
-    offset = obs.day - diagnosis_day[patient_of]
+    n = len(cohort)
+    obs = cohort.observations
+    patient_of = cohort.patient_of()
+    offset = obs.day - cohort.diagnosis[patient_of]
     pair = patient_of * len(MEASURES) + obs.measure
     labels = _pair_labels(obs, offset, pair, n * len(MEASURES), window, far_days, margin)
     counts = np.bincount(pair, minlength=n * len(MEASURES))
@@ -175,18 +173,18 @@ def _patient_labels(
     return found
 
 
-def _first_missing(patients, counts: np.ndarray) -> MissingMeasureError:
+def _first_missing(patient_ids: tuple[str, ...], counts: np.ndarray) -> MissingMeasureError:
     i, j = np.argwhere(counts == 0)[0]
-    return MissingMeasureError(patients[i].patient_id, MEASURES[j])
+    return MissingMeasureError(patient_ids[i], MEASURES[j])
 
 
 def history_groups(
-    patients: tuple[PatientRecord, ...] | list[PatientRecord],
+    cohort: Cohort,
     window: DiagnosisWindow = DEFAULT_WINDOW,
     margin: float = SOFT_MARGIN_DEFAULT,
 ) -> np.ndarray:
     """Group value (1..3) per (patient, measure), (n_patients, 5); 0 where the patient has no result."""
-    labels, counts = label_table(patients, window, FAR_DAYS_DEFAULT, margin)
+    labels, counts = label_table(cohort, window, FAR_DAYS_DEFAULT, margin)
     return np.where(counts > 0, labels[:, :, GROUP_COLUMN], 0)
 
 
@@ -229,7 +227,7 @@ def label_patient(
     """All six labels for every measure of one patient."""
     labels, counts = _patient_labels(patient, window, far_days, margin)
     if not counts.all():
-        raise _first_missing([patient], counts[None])
+        raise _first_missing((patient.patient_id,), counts[None])
     return {m: dict(zip(VERSIONS, row[: len(VERSIONS)])) for m, row in zip(MEASURES, labels.tolist())}
 
 
@@ -264,10 +262,10 @@ def label_cohort(
     margin: float = SOFT_MARGIN_DEFAULT,
 ) -> CohortLabels:
     """Label vector per patient; requires every patient to have all five measures."""
-    labels, counts = label_table(cohort.patients, window, far_days, margin)
+    labels, counts = label_table(cohort, window, far_days, margin)
     if not counts.all():
-        raise _first_missing(cohort.patients, counts)
-    return CohortLabels(patient_ids=cohort.patient_ids(), values=labels[:, :, : len(VERSIONS)])
+        raise _first_missing(cohort.patient_ids, counts)
+    return CohortLabels(patient_ids=cohort.patient_ids, values=labels[:, :, : len(VERSIONS)])
 
 
 def write_labels_csv(cohort: Cohort, labels: CohortLabels, path: str | Path) -> None:
@@ -276,5 +274,5 @@ def write_labels_csv(cohort: Cohort, labels: CohortLabels, path: str | Path) -> 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["patient_id", "measure", *(v.value for v in VERSIONS)])
-        for pid, per_measure in zip(cohort.patient_ids(), labels.rows_for(cohort.patient_ids()).tolist()):
+        for pid, per_measure in zip(cohort.patient_ids, labels.rows_for(cohort.patient_ids).tolist()):
             writer.writerows([pid, name, *row] for name, row in zip(names, per_measure))

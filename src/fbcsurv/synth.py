@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field, fields, replace
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .cohort import MEASURE_CODE, MEASURES, Cohort, Measure, Observations, PatientRecord, Sex
+from .cohort import MEASURE_CODE, MEASURES, NO_DEATH, Cohort, Measure, Observations, Sex, patient_columns
 from .labeling import DEFAULT_WINDOW, Group, history_groups
 
 EXTRACT_START = date(2008, 1, 1)
@@ -197,30 +197,30 @@ def generate(config: GeneratorConfig) -> Cohort:
     weights = weights / weights.sum()
     columns = (array("b"), array("d"), array("q"), array("d"), array("d"))
     rngs, demographics, counts = [], [], []
-    for i, child_seed in enumerate(np.random.SeedSequence(config.seed).spawn(config.n_patients)):
+    for child_seed in np.random.SeedSequence(config.seed).spawn(config.n_patients):
         rng = np.random.default_rng(child_seed)
         sex = Sex.MALE if rng.random() < config.sex_ratio else Sex.FEMALE
         decade = int(rng.choice(decades, p=weights))
         age = decade * 10 + int(rng.integers(0, 10))
-        diagnosis = EXTRACT_START + timedelta(days=int(rng.integers(0, DIAGNOSIS_SPAN_DAYS)))
+        diagnosis = EXTRACT_START.toordinal() + int(rng.integers(0, DIAGNOSIS_SPAN_DAYS))
         risky = rng.random() < config.p_latent_high_risk
-        counts.append(_draw_observations(rng, config, diagnosis.toordinal(), risky, columns))
+        counts.append(_draw_observations(rng, config, diagnosis, risky, columns))
         rngs.append(rng)
-        demographics.append((f"P{i + 1:06d}", sex, age, diagnosis))
+        demographics.append((sex.value, age, diagnosis, NO_DEATH))
 
-    per_patient = Observations.from_columns(*columns).split(counts)
-    patients = [
-        PatientRecord(
-            patient_id=pid, sex=sex, age_at_diagnosis=age, diagnosis_date=diagnosis, death_date=None, observations=obs
-        )
-        for (pid, sex, age, diagnosis), obs in zip(demographics, per_patient)
-    ]
-    anchor = history_groups(patients, DEFAULT_WINDOW)[:, MEASURE_CODE[config.anchor_measure]]
-    for i, (rng, patient, group) in enumerate(zip(rngs, patients, anchor.tolist())):
-        if rng.random() < _death_probability(config, Group(group), patient.sex):
-            death = patient.diagnosis_date + timedelta(days=int(rng.integers(1, 731)))
-            patients[i] = replace(patient, death_date=death)
-    return Cohort(patients=tuple(patients), data_end_date=DATA_END_DATE)
+    cohort = Cohort(
+        patient_ids=tuple(f"P{i + 1:06d}" for i in range(config.n_patients)),
+        **patient_columns(demographics),
+        counts=np.array(counts, dtype=np.int64),
+        observations=Observations.from_columns(*columns),
+        data_end_date=DATA_END_DATE,
+    )
+    anchor = history_groups(cohort, DEFAULT_WINDOW)[:, MEASURE_CODE[config.anchor_measure]]
+    death = cohort.death.copy()
+    for i, (rng, sex, group) in enumerate(zip(rngs, cohort.sex.tolist(), anchor.tolist())):
+        if rng.random() < _death_probability(config, Group(group), Sex(sex)):
+            death[i] = cohort.diagnosis[i] + int(rng.integers(1, 731))
+    return replace(cohort, death=death)
 
 
 def write_generator_config(config: GeneratorConfig, path: str | Path) -> None:

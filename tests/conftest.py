@@ -57,7 +57,7 @@ def full_panel_readings(value: float = 300.0, offset: int = -10) -> list[tuple[M
 
 
 def make_cohort(patients: list[PatientRecord], data_end: date = DATA_END) -> Cohort:
-    return Cohort(patients=tuple(patients), data_end_date=data_end)
+    return Cohort.of(patients, data_end)
 
 
 def write_csvs(tmp_path: Path, patients_text: str, observations_text: str) -> tuple[Path, Path]:

@@ -252,6 +252,61 @@ def test_stages_load_the_sidecar_instead_of_parsing(cohort_dir, tmp_path, monkey
         assert main([command, "--in", str(ingested), "--out", str(tmp_path / command), *extra]) == 0
 
 
+def test_stages_build_no_per_patient_records(cohort_dir, tmp_path, monkeypatch):
+    def no_records(*args, **kwargs):
+        raise AssertionError("a stage built PatientRecords instead of reading the cohort's columns")
+
+    monkeypatch.setattr(fbcsurv.cohort.PatientRecord, "__init__", no_records)
+    monkeypatch.setattr(fbcsurv.cohort.Cohort, "patients", property(no_records))
+    parsed = tmp_path / "parsed"  # no sidecar, so ingest parses the CSVs
+    shutil.copytree(cohort_dir, parsed)
+    (parsed / SIDECAR).unlink()
+    assert main(["synth", "--n", "30", "--seed", "2", "--out", str(tmp_path / "synth")]) == 0
+    assert main(["ingest", "--in", str(parsed), "--out", str(tmp_path / "ingested")]) == 0
+    for command, extra in (("stats", []), ("label", []), ("features", []), ("evaluate", ["--seed", "5", *FAST_EVALUATE])):
+        assert main([command, "--in", str(tmp_path / "ingested"), "--out", str(tmp_path / command), *extra]) == 0
+
+
+def _two_patient_cohort(directory, age="67", diagnosis="2012-06-01", end="2018-12-31"):
+    """A cohort directory of P1, who passes the filters, and P2 with the given age and diagnosis date."""
+    directory.mkdir()
+    panel = "".join(f"P1,{m},300,2012-05-20,150,450\n" for m in ("PLATELETS", "MCV", "MCH", "MCHC", "RDW"))
+    write_csvs(
+        directory,
+        f"patient_id,sex,age_at_diagnosis,diagnosis_date,death_date\nP1,M,67,2012-06-01,\nP2,F,{age},{diagnosis},\n",
+        "patient_id,measure,value,date,ref_low,ref_high\n" + panel + panel.replace("P1", "P2"),
+    )
+    (directory / "meta.json").write_text(f'{{"data_end_date": "{end}"}}\n')
+    return directory
+
+
+@pytest.mark.parametrize("command", ["ingest", "features"])
+def test_age_beyond_int64_is_a_parser_error(tmp_path, capsys, command):
+    cohort = _two_patient_cohort(tmp_path / "cohort", age=str(2**63))
+    code, _, err = run(capsys, command, "--in", str(cohort), "--out", str(tmp_path / "out"))
+    assert code == 1
+    path = cohort / "patients.csv"
+    # the first of the problems: P2's results then name an unknown patient
+    assert err.startswith(f"error: {path}:3: field 'age_at_diagnosis': must be at most {2**63 - 1}, got '{2**63}'; ")
+
+
+@pytest.mark.parametrize("command", ["ingest", "features"])
+def test_largest_int64_age_is_accepted(tmp_path, capsys, command):
+    cohort = _two_patient_cohort(tmp_path / "cohort", age=str(2**63 - 1))
+    assert run(capsys, command, "--in", str(cohort), "--out", str(tmp_path / "out"))[0] == 0
+
+
+@pytest.mark.parametrize("command", ["ingest", "stats", "label", "features"])
+def test_far_future_diagnosis_lacks_follow_up(tmp_path, capsys, command):
+    # 9999-06-01 plus two years is past the last date a datetime.date holds
+    cohort = _two_patient_cohort(tmp_path / "cohort", diagnosis="9999-06-01", end="9999-12-31")
+    code, _, err = run(capsys, command, "--in", str(cohort), "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    if command != "stats":
+        report = json.loads((tmp_path / "out" / "filter_report.json").read_text())
+        assert report == {"removed_insufficient_followup": 1, "removed_incomplete_panel": 0, "retained": 1}
+
+
 def csv_bytes(cohort_dir):
     return {name: (cohort_dir / name).read_bytes() for name in CSV_FILES}
 

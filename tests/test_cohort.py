@@ -3,7 +3,6 @@ import io
 import re
 import shutil
 import tempfile
-import zipfile
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -13,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import fbcsurv.cohort
 from fbcsurv.cohort import (
+    FOLLOW_UP_DAYS,
     MEASURE_CODE,
     SIDECAR,
+    Cohort,
     CohortError,
     Measure,
     MEASURES,
@@ -191,6 +192,13 @@ def test_filters_remove_short_followup():
     assert report.removed_insufficient_followup == 1
 
 
+@pytest.mark.parametrize("days_before_end, kept", [(730, True), (729, False)])
+def test_follow_up_boundary(days_before_end, kept):
+    patient = make_patient(diagnosis=DATA_END - timedelta(days=days_before_end), readings=full_panel_readings())
+    cohort = make_cohort([patient])
+    assert len(apply_inclusion_filters(cohort)[0]) == len(apply_followup_filter(cohort)) == int(kept)
+
+
 def test_filters_remove_incomplete_panel():
     readings = [(m, 300.0, -10) for m in MEASURES if m is not Measure.RDW]
     patient = make_patient(readings=readings)
@@ -231,7 +239,35 @@ def test_followup_only_filter_keeps_incomplete_panels():
         make_patient("P2", diagnosis=date(2018, 6, 1), readings=full_panel_readings()),
     ]
     kept = apply_followup_filter(make_cohort(patients))
-    assert kept.patient_ids() == ("P1",)
+    assert kept.patient_ids == ("P1",)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    drops=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(MEASURES)), max_size=6),
+    end_shift=st.integers(0, 3000),
+)
+def test_filters_match_the_per_record_reference(seed, drops, end_shift):
+    cohort = generate(GeneratorConfig(n_patients=8, seed=seed, obs_count_range=(1, 2)))
+    patients = list(cohort.patients)
+    for i, measure in drops:
+        obs = patients[i].observations
+        kept = obs.rows[obs.measure != MEASURE_CODE[measure]]
+        patients[i] = dataclasses.replace(patients[i], observations=Observations(kept))
+    end = cohort.data_end_date - timedelta(days=end_shift)
+    edited = Cohort.of(patients, end)
+    # the per-record loops that the column masks replaced
+    followed = [p for p in patients if p.diagnosis_date + timedelta(days=FOLLOW_UP_DAYS) <= end]
+    complete = [p for p in followed if p.has_full_panel()]
+    filtered, report = apply_inclusion_filters(edited)
+    assert filtered == Cohort.of(complete, end)
+    assert report.to_dict() == {
+        "removed_insufficient_followup": len(patients) - len(followed),
+        "removed_incomplete_panel": len(followed) - len(complete),
+        "retained": len(complete),
+    }
+    assert apply_followup_filter(edited) == Cohort.of(followed, end)
 
 
 @pytest.mark.parametrize(
@@ -259,6 +295,14 @@ def test_roundtrip_write_read(tmp_path):
     assert (tmp_path / "observations.csv").read_bytes() == (tmp_path / "second" / "observations.csv").read_bytes()
 
 
+def test_records_and_columns_convert_both_ways():
+    cohort = generate(GeneratorConfig(n_patients=25, seed=42))
+    records = cohort.patients
+    assert [p.patient_id for p in records] == list(cohort.patient_ids)
+    assert all(p.observations.rows.base is not None for p in records)  # views of the cohort's buffer
+    assert Cohort.of(records, cohort.data_end_date) == cohort
+
+
 def test_read_cohort_requires_end_date(tmp_path):
     write_csvs(
         tmp_path,
@@ -282,12 +326,18 @@ def test_write_cohort_saves_a_sidecar_that_read_cohort_trusts(synth_dir, parses)
 
 def _saved_records(cohort_dir: Path) -> np.ndarray:
     """The bytes of each observation record as cohort.npz holds them, (records, itemsize) uint8."""
-    # np.load would copy the records field by field into a fresh buffer, so the file's padding is read raw
-    with zipfile.ZipFile(cohort_dir / SIDECAR) as archive, archive.open("rows.npy") as fh:
-        version = np.lib.format.read_magic(fh)
-        header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
-        header(fh)
-        return np.frombuffer(fh.read(), dtype=np.uint8).reshape(-1, fbcsurv.cohort.OBSERVATION_DTYPE.itemsize)
+    with np.load(cohort_dir / SIDECAR) as npz:
+        return npz["rows"].reshape(-1, fbcsurv.cohort.OBSERVATION_DTYPE.itemsize)
+
+
+def _padding() -> np.ndarray:
+    """Which bytes of an observation record belong to no field."""
+    dtype = fbcsurv.cohort.OBSERVATION_DTYPE
+    padding = np.ones(dtype.itemsize, dtype=bool)
+    for field, offset in dtype.fields.values():
+        padding[offset : offset + field.itemsize] = False
+    assert padding.any()
+    return padding
 
 
 def test_sidecar_records_have_zero_padding(tmp_path, parses):
@@ -297,12 +347,19 @@ def test_sidecar_records_have_zero_padding(tmp_path, parses):
     assert parses == []
     built, loaded = _saved_records(tmp_path / "built"), _saved_records(tmp_path / "loaded")
     assert built.tobytes() == loaded.tobytes()
-    dtype = fbcsurv.cohort.OBSERVATION_DTYPE
-    padding = np.ones(dtype.itemsize, dtype=bool)
-    for field, offset in dtype.fields.values():
-        padding[offset : offset + field.itemsize] = False
-    assert padding.any()
-    assert not built[:, padding].any()
+    assert not built[:, _padding()].any()
+
+
+def test_filtered_cohort_records_have_zero_padding(tmp_path):
+    # a structured copy leaves the padding of the records it copies unset
+    panel = full_panel_readings()
+    patients = [make_patient(f"P{i}", readings=panel if i != 2 else panel[:4]) for i in range(1, 400)]
+    write_cohort(make_cohort(patients), tmp_path / "in")
+    filtered, report = apply_inclusion_filters(read_cohort(tmp_path / "in"))
+    assert report.removed_incomplete_panel == 1
+    write_cohort(filtered, tmp_path / "out")
+    assert not _saved_records(tmp_path / "out")[:, _padding()].any()
+    assert read_cohort(tmp_path / "out") == filtered
 
 
 def test_edited_observations_are_parsed_again(synth_dir, parses):
@@ -335,6 +392,13 @@ def _flip_middle_byte(path: Path) -> None:
     path.write_bytes(bytes(data))
 
 
+def _as_version_1(path: Path) -> None:
+    """Rewrite a sidecar in format 1, which saved the records as a structured array."""
+    with np.load(path) as npz:
+        records = npz["rows"].view(fbcsurv.cohort.OBSERVATION_DTYPE)
+    _rewrite_sidecar(path, version=np.int64(1), rows=records)
+
+
 def _write_npy(path: Path) -> None:
     buffer = io.BytesIO()
     np.save(buffer, np.arange(3))
@@ -353,9 +417,11 @@ def _write_npy(path: Path) -> None:
         lambda path: _rewrite_sidecar(path, version=np.str_(str(fbcsurv.cohort.SIDECAR_VERSION))),
         lambda path: _rewrite_sidecar(path, death=None),
         lambda path: _rewrite_sidecar(path, counts=np.zeros(1, np.int64)),
+        _as_version_1,
+        lambda path: _rewrite_sidecar(path, rows=np.zeros(33, np.uint8)),
     ],
     ids=["truncated", "garbage", "empty", "npy_file", "flipped_byte", "wrong_version", "str_version",
-         "missing_array", "short_column"],
+         "missing_array", "short_column", "version_1", "partial_record"],
 )
 def test_spoiled_sidecar_falls_back_to_the_parse(synth_dir, parses, spoil):
     expected = parse(synth_dir, DATA_END)
@@ -393,15 +459,10 @@ def _with_observation(patient, **columns):
         lambda p: dataclasses.replace(p, patient_id="P1\x00"),
         lambda p: dataclasses.replace(p, patient_id="P2"),  # a duplicate
         lambda p: dataclasses.replace(p, age_at_diagnosis=-1),
-        lambda p: dataclasses.replace(p, age_at_diagnosis=10**20),  # no int64 column holds it
-        lambda p: dataclasses.replace(p, age_at_diagnosis=65.0),  # written as 65.0
-        lambda p: dataclasses.replace(p, age_at_diagnosis=True),  # written as True
-        lambda p: dataclasses.replace(p, diagnosis_date=datetime(2012, 6, 1, 5)),  # written with its time
         lambda p: dataclasses.replace(p, death_date=p.diagnosis_date - timedelta(days=1)),
     ],
     ids=["negative_value", "nan_value", "inf_value", "inverted_range", "negative_measure", "id_with_nul",
-         "duplicate_id", "negative_age", "huge_age", "float_age", "bool_age", "datetime_diagnosis",
-         "death_before_diagnosis"],
+         "duplicate_id", "negative_age", "death_before_diagnosis"],
 )
 def test_api_built_cohort_reads_the_same_with_and_without_sidecar(tmp_path, edit):
     patients = [make_patient(f"P{i}", readings=full_panel_readings()) for i in (1, 2)]
@@ -409,6 +470,29 @@ def test_api_built_cohort_reads_the_same_with_and_without_sidecar(tmp_path, edit
     with_sidecar = outcome(lambda: read_cohort(tmp_path))
     (tmp_path / SIDECAR).unlink(missing_ok=True)
     assert with_sidecar == outcome(lambda: read_cohort(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: dataclasses.replace(p, age_at_diagnosis=10**20),  # no int64 column holds it
+        lambda p: dataclasses.replace(p, age_at_diagnosis=-(2**63) - 1),
+        lambda p: dataclasses.replace(p, age_at_diagnosis=65.0),  # would be written as 65.0
+        lambda p: dataclasses.replace(p, age_at_diagnosis=True),  # would be written as True
+        lambda p: dataclasses.replace(p, diagnosis_date=datetime(2012, 6, 1, 5)),  # would be written with its time
+        lambda p: dataclasses.replace(p, death_date=datetime(2013, 6, 1)),
+    ],
+    ids=["huge_age", "age_below_int64", "float_age", "bool_age", "datetime_diagnosis", "datetime_death"],
+)
+def test_cohort_of_rejects_values_no_column_holds(edit):
+    patients = [make_patient(f"P{i}", readings=full_panel_readings()) for i in (1, 2)]
+    with pytest.raises(ValueError, match="patient 'P2'"):
+        make_cohort([patients[0], edit(patients[1])])
+
+
+def test_cohort_of_keeps_int64_extremes():
+    patients = [make_patient("P1", age=2**63 - 1), make_patient("P2", age=-(2**63))]
+    assert make_cohort(patients).age.tolist() == [2**63 - 1, -(2**63)]
 
 
 @pytest.mark.parametrize("pid", [" pad ", "a\rb", ""], ids=["padded_id", "id_with_cr", "empty_id"])
@@ -459,6 +543,15 @@ def test_write_cohort_copies_csvs_its_source_sidecar_proves(synth_dir, tmp_path,
     assert len(copies) == 2
     assert _csv_bytes(tmp_path / "out") == _csv_bytes(synth_dir) == _expected_bytes(cohort, tmp_path)
     assert read_cohort(tmp_path / "out") == cohort
+    assert parses == []
+
+
+def test_write_cohort_serialises_from_a_version_1_source(synth_dir, tmp_path, parses, copies):
+    cohort = read_cohort(synth_dir)
+    _as_version_1(synth_dir / SIDECAR)
+    write_cohort(cohort, tmp_path / "out", source=synth_dir)
+    assert copies == []
+    assert _csv_bytes(tmp_path / "out") == _csv_bytes(synth_dir)
     assert parses == []
 
 
@@ -519,7 +612,7 @@ def test_sidecar_read_equals_the_parse(n, seed, edits, file_edit, end_shift):
     for i, edit in edits:
         patients[i % n] = edit(patients[i % n])
     end = None if end_shift is None else cohort.data_end_date - timedelta(days=end_shift)
-    edited = dataclasses.replace(cohort, patients=tuple(patients))
+    edited = Cohort.of(patients, cohort.data_end_date)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "cohort")
         written = outcome(lambda: write_cohort(edited, out))

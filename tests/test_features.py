@@ -28,6 +28,12 @@ def test_age_group_rejects_negative():
         age_group(-1)
 
 
+def test_age_group_of_an_array():
+    assert age_group(np.array([15, 69, 9, 0, 104])).tolist() == [1, 6, 0, 0, 10]
+    with pytest.raises(ValueError, match="got -3"):
+        age_group(np.array([15, -3, -1]))
+
+
 def test_column_layout():
     cols = feature_columns()
     assert len(cols) == 88

@@ -95,7 +95,7 @@ def cohorts(draw, full_panel):
     window, far, margin = draw(settings_)
     n = draw(st.integers(0, 6))
     members = tuple(draw(patients(f"P{i}", window, far, margin, full_panel)) for i in range(n))
-    return Cohort(members, DATA_END), window, far, margin
+    return Cohort.of(members, DATA_END), window, far, margin
 
 
 def _outcome(fn, *args):
@@ -128,7 +128,7 @@ def test_per_patient_calls_match_reference(case):
 def test_label_cohort_matches_reference(case):
     cohort, window, far, margin = case
     labels = label_cohort(cohort, window, far, margin)
-    assert labels.patient_ids == cohort.patient_ids()
+    assert labels.patient_ids == cohort.patient_ids
     for i, patient in enumerate(cohort.patients):
         expected = ref.label_patient(patient, window, far, margin)
         for j, measure in enumerate(MEASURES):
