@@ -35,7 +35,7 @@ def fit_adaboost_ensembles(
     w = [np.full(n, 1.0 / n, dtype=np.float64) for _ in ks]
     scores = np.zeros((len(ks), n), dtype=np.float64)
     votes = np.empty((len(ks), n), dtype=np.float64)
-    grower = StumpGrower(bm, ks, y)
+    grower = StumpGrower(bm, ks, y, rounds)
     boosting = list(range(len(ks)))
     for _ in range(rounds):
         if not boosting:
@@ -59,7 +59,7 @@ def fit_adaboost_ensembles(
             if err <= 0.0:
                 boosting.remove(m)
     majority = float(int(y.sum()) * 2 > n)
-    for ensemble, stumps, model_scores in zip(ensembles, grower.pop_trees(), scores):
+    for ensemble, stumps, model_scores in zip(ensembles, grower.trees(), scores):
         ensemble.trees = stumps[: len(ensemble.weights)]
         if not ensemble.trees:
             ensemble.init_score = majority

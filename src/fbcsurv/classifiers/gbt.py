@@ -42,7 +42,7 @@ def fit_gbt_ensembles(
     y_f = y.astype(np.float64)
     prior = min(max(float(y_f.mean()), _PRIOR_EPS), 1.0 - _PRIOR_EPS)
     init = math.log(prior / (1.0 - prior))
-    grower = NewtonGrower(bm, ks, depth, l2)
+    grower = NewtonGrower(bm, ks, depth, l2, rounds)
     scores = np.full((len(ks), n), init, dtype=np.float64)
     row_values = np.empty((len(ks), n), dtype=np.float64)
     losses = [_mean_logistic_loss(scores, y_f)]
@@ -55,6 +55,6 @@ def fit_gbt_ensembles(
         losses.append(_mean_logistic_loss(scores, y_f))
     ensembles = [
         TreeEnsemble(init, [learning_rate] * rounds, trees, train_losses=model_losses)
-        for trees, model_losses in zip(grower.pop_trees(), np.transpose(losses).tolist())
+        for trees, model_losses in zip(grower.trees(), np.transpose(losses).tolist())
     ]
     return list(zip(ensembles, (scores > 0).astype(np.int64)))

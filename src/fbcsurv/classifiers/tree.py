@@ -195,6 +195,16 @@ def predict_trees(trees: list[Tree], X: np.ndarray) -> Iterator[np.ndarray]:
         yield from value[at]
 
 
+def segment_sums(values: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """Per segment [bounds[i], bounds[i + 1]) of a C-contiguous (c, N) array: the sum of each row's slice.
+
+    One reduce per segment; each sum is numpy's pairwise sum of contiguous
+    values, so it equals `ndarray.sum()` of that row slice bit for bit. (The
+    rows of an F-ordered array would be summed in another order.)
+    """
+    return np.array([np.add.reduce(values[:, a:b], axis=1) for a, b in zip(bounds, bounds[1:])])
+
+
 class LevelGrower:
     """Level-wise trees for a group of models grown in lockstep: the one tree grower of every family.
 
@@ -207,15 +217,25 @@ class LevelGrower:
     threshold. A family subclass supplies its weight channels and three
     methods: `_nodes` (each open node's totals, and whether it may split),
     `_gain` (every split's gain and validity, and the floor the best gain
-    must beat) and `_payload` (node values, then any extra `Tree` columns).
+    must beat; it may overwrite the left sums) and `_payload` (node values,
+    then the `_extras` columns). A grower is sized for `rounds` trees per
+    model of at most max_depth levels below the root (None is unbounded);
+    `trees` ends the fit.
     """
 
-    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], n_channels: int):
+    # the family's `Tree` columns after value, as `_payload` returns them
+    _extras: tuple[str, ...] = ()
+    # the children of a split one level above max_depth are leaves that `_nodes` totals from the split's
+    # histogram, so their rows need no partition
+    _leaves_from_split = False
+
+    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], n_channels: int, max_depth: int | None, rounds: int):
         bm = bm.prefix(max(ks))
         n = bm.n
         self.bm = bm
         self.n_models = len(ks)
         self.n_bins = bm.n_bins
+        self.max_depth = max_depth
         # One element per (model, column < k, row), in that order, so a (node, bin) sum adds rows in
         # ascending order. Model m's elements are a (k, n) block of each buffer, reused every level.
         size = n * sum(ks)
@@ -234,10 +254,17 @@ class LevelGrower:
         self._fill_codes(np.arange(self.n_models * n), np.repeat(np.arange(self.n_models), n), self.n_models)
         self._root_codes = self._codes.copy()
         self._root_counts = self._bin_sums(self._root_codes, self.n_models)
-        # per level of every round grown, for every open node: tree (round * n_models + model),
-        # row count, feature and threshold (-1 and 0 at a leaf), then the family's payload columns
-        self._levels = []
+        # One record per grown node, level after level of every round, in columns allocated once: its tree
+        # (round * n_models + model), row count, feature and threshold (-1 and 0 at a leaf), value and extras.
+        # A tree has at most 2n - 1 nodes, and at most 2 ** (max_depth + 1) - 1; its depth is below n.
+        depth = n if max_depth is None else min(max_depth, n)
+        per_tree = min((1 << (depth + 1)) - 1, 2 * n - 1)
+        capacity = rounds * self.n_models * per_tree
+        names = ("tree", "n", "feature", "threshold", "value", *self._extras)
+        self._records = {name: np.empty(capacity, dtype=_ARRAYS.get(name, np.int64)) for name in names}
+        self._n_records = 0
         self._rounds = 0
+        self._max_rounds = rounds
 
     def _fill_codes(self, order: np.ndarray, slot_of_pos: np.ndarray, n_slots: int) -> None:
         """Write each element's (slot, flat bin) code; rows outside the slots go to slot n_slots."""
@@ -253,10 +280,27 @@ class LevelGrower:
         sums = np.bincount(codes, weights=weights, minlength=size + self.n_bins)[:size].reshape(n_slots, -1)
         cum = np.zeros((n_slots, self.n_bins + 1), dtype=sums.dtype)
         np.cumsum(sums, axis=1, out=cum[:, 1:])
-        return sums, cum[:, 1:] - cum[:, self.bm.seg_start]
+        left = cum[:, 1:]
+        left -= cum[:, self.bm.seg_start]
+        return sums, left
+
+    def _record(self, slot_tree: np.ndarray, sizes: np.ndarray, payload) -> tuple[np.ndarray, np.ndarray]:
+        """Append one level's nodes as leaves; returns their feature and threshold columns, for the splits to set."""
+        start = self._n_records
+        self._n_records = end = start + len(sizes)
+        records = self._records
+        records["tree"][start:end] = slot_tree
+        records["n"][start:end] = sizes
+        records["feature"][start:end] = -1
+        records["threshold"][start:end] = 0.0
+        for name, column in zip(("value", *self._extras), payload):
+            records[name][start:end] = column
+        return records["feature"][start:end], records["threshold"][start:end]
 
     def _grow(self, channels, row_values: np.ndarray) -> None:
         """Grow a tree per model on its row weights channels[c][m]; row_values (M, n) gets each row's leaf value."""
+        if self._rounds == self._max_rounds:
+            raise ValueError(f"this grower is sized for {self._max_rounds} rounds")
         n_models, n = row_values.shape
         bm = self.bm
         for m, (_, _, *buffers) in enumerate(self._blocks):
@@ -288,15 +332,13 @@ class LevelGrower:
                 valid = split[:, np.newaxis] & (counts > 0) & (left_counts < sizes[:, np.newaxis])
                 gain, valid, floor = self._gain(sizes, totals, left_counts, left_sums, valid)
                 # first maximum wins: lowest feature, then lowest threshold
-                gain = np.where(valid, gain, -np.inf)
+                np.copyto(gain, -np.inf, where=~valid)
                 best = gain.argmax(axis=1)
                 at = (np.arange(n_slots), best)
                 split = valid[at] & ~(gain[at] <= floor)
             is_leaf = ~split
-            feature = np.full(n_slots, -1)
-            threshold = np.zeros(n_slots)
             payload = self._payload(totals, sizes, is_leaf)
-            self._levels.append((slot_tree, sizes, feature, threshold, *payload))
+            feature, threshold = self._record(slot_tree, sizes, payload)
             if is_leaf.any():
                 in_leaf = is_leaf[slot_of_pos]
                 values[order[in_leaf]] = payload[0][slot_of_pos[in_leaf]]
@@ -316,34 +358,49 @@ class LevelGrower:
             n_left = left_counts[at]
             split_level = (totals, at, left_sums)
             parent_sizes = sizes[split]
-            # stable partition of each node's pairs: left child first, then right
             parent = np.repeat(np.arange(n_split), parent_sizes)
             goes_left = self._column_codes[features[parent] * n + order % n] <= flat_bin[parent]
             child = 2 * parent + ~goes_left
-            order = order[np.argsort(child.astype(np.min_scalar_type(2 * n_split)), kind="stable")]
             sizes = np.column_stack((n_left, parent_sizes - n_left)).ravel()
             slot_tree = np.repeat(slot_tree[split], 2)
+            if self._leaves_from_split and depth + 1 == self.max_depth:
+                # every child is a leaf, so each row takes its side's value without a partition
+                totals, _ = self._nodes(depth + 1, None, None, sizes, split_level)
+                payload = self._payload(totals, sizes, np.ones(len(sizes), dtype=bool))
+                self._record(slot_tree, sizes, payload)
+                values[order] = payload[0][child]
+                break
+            # stable partition of each node's pairs: left child first, then right
+            order = order[np.argsort(child.astype(np.min_scalar_type(2 * n_split)), kind="stable")]
 
-    def pop_trees(self) -> list[list[Tree]]:
-        """The trees grown since the last call, per model one tree per round; the grower forgets them.
+    def trees(self) -> list[list[Tree]]:
+        """The grown trees, per model one tree per round. This ends the fit: the grower frees its buffers first.
 
         A tree's nodes are numbered breadth first, so its k-th split node
         (from 0) has children 2k + 1 and 2k + 2.
         """
-        if not self._rounds:
+        records, count = self._records, self._n_records
+        self._codes = self._channels = self._root_codes = self._blocks = self._records = None
+        if not count:
             return [[] for _ in range(self.n_models)]
-        tree_of, *columns = (np.concatenate(column) for column in zip(*self._levels))
-        self._levels, self._rounds = [], 0
-        # each tree's nodes, level after level
+        tree_of, *columns = (column[:count] for column in records.values())
+        # each tree's nodes, level after level, gathered in place one column at a time
         by_tree = np.argsort(tree_of, kind="stable")
-        n_rows, feature, threshold, value, *kept = (a[by_tree] for a in columns)
-        split = feature >= 0
+        for column in columns:
+            column[...] = column[by_tree]
+        n_rows, feature, threshold, value, *kept = columns
         per_tree = np.bincount(tree_of)
+        del records, tree_of, by_tree
         starts = np.concatenate(([0], np.cumsum(per_tree)))
-        splits_before = np.concatenate(([0], np.cumsum(split)))
-        k = splits_before[:-1] - np.repeat(splits_before[starts[:-1]], per_tree)
-        left = np.where(split, 2 * k + 1, -1)
-        right = np.where(split, 2 * k + 2, -1)
+        split = feature >= 0
+        # each split's k: the splits before it in its tree
+        left = np.cumsum(split)
+        left -= split
+        left -= np.repeat(left[starts[:-1]], per_tree)
+        left *= 2
+        left += 1
+        right = left + 1
+        left[~split] = right[~split] = -1
         starts = starts.tolist()
         trees = [
             Tree(*(a[start:end] for a in (feature, threshold, left, right, value, n_rows, *kept)))
@@ -355,38 +412,45 @@ class LevelGrower:
 class NewtonGrower(LevelGrower):
     """Newton regression trees on channels g and h, for a group of models boosted in lockstep.
 
-    Node totals G and H are `ndarray.sum()` over the node's rows in ascending
-    order (numpy's pairwise sum), as growing each model alone computes them.
-    A node shallower than max_depth splits on its best second-order gain when
-    that gain is > 0; otherwise it is a leaf of weight -G / (H + l2).
+    Node totals G and H are `segment_sums` over the node's rows in ascending
+    order, which equal `ndarray.sum()`, as growing each model alone computes
+    them. A node shallower than max_depth splits on its best second-order
+    gain when that gain is > 0; otherwise it is a leaf of weight -G / (H + l2).
     """
 
-    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], max_depth: int, l2: float):
-        super().__init__(bm, ks, n_channels=2)
-        self.max_depth = max_depth
+    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], max_depth: int, l2: float, rounds: int):
+        super().__init__(bm, ks, 2, max_depth, rounds)
         self.l2 = l2
 
     def grow(self, g: np.ndarray, h: np.ndarray, row_values: np.ndarray) -> None:
         """Grow one round: a tree per model for (M, n) gradients and hessians; leaf weights go to row_values."""
-        self._g, self._h = g.ravel(), h.ravel()
+        self._gh = np.stack((g.ravel(), h.ravel()))
         self._grow((g, h), row_values)
 
     def _nodes(self, depth, order, bounds, sizes, split_level):
-        g_ord = self._g[order]
-        h_ord = self._h[order]
-        totals = np.array([(g_ord[a:b].sum(), h_ord[a:b].sum()) for a, b in zip(bounds, bounds[1:])])
+        # np.take keeps the gather C-contiguous, so each node's rows are summed pairwise
+        totals = segment_sums(np.take(self._gh, order, axis=1), bounds)
         return totals, np.full(len(sizes), depth < self.max_depth)
 
     def _gain(self, sizes, totals, left_counts, left_sums, valid):
+        # 0.5 * (lg * lg / (lh + l2) + rg * rg / (rh + l2) - G * G / (H + l2)), each operation in place
         G = totals[:, :1]
         H = totals[:, 1:]
         lg, lh = left_sums
         l2 = self.l2
         with np.errstate(divide="ignore", invalid="ignore"):
             parent_score = G * G / (H + l2)
-            rg = G - lg
-            rh = H - lh
-            gain = 0.5 * (lg * lg / (lh + l2) + rg * rg / (rh + l2) - parent_score)
+            right = np.subtract(G, lg)
+            right *= right
+            gain = np.subtract(H, lh)
+            gain += l2
+            right /= gain
+            lh += l2
+            np.multiply(lg, lg, out=gain)
+            gain /= lh
+            gain += right
+            gain -= parent_score
+            gain *= 0.5
         return gain, valid, 0.0
 
     def _payload(self, totals, sizes, is_leaf):
@@ -410,17 +474,18 @@ class GiniGrower(LevelGrower):
     the tree keeps `n1`.
     """
 
+    _extras = ("n1",)
+
     def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, max_depth: int | None, min_leaf: int):
-        super().__init__(bm, ks, n_channels=1)
+        super().__init__(bm, ks, 1, max_depth, rounds=1)
         self.y = y
-        self.max_depth = max_depth
         self.min_leaf = min_leaf
 
     def grow(self) -> list[tuple[Tree, np.ndarray]]:
         """Each model's tree and its class for every training row."""
         classes = np.empty((self.n_models, self.bm.n))
         self._grow(([self.y.astype(np.float64)] * self.n_models,), classes)
-        return [(trees[0], model_classes) for trees, model_classes in zip(self.pop_trees(), classes.astype(np.int64))]
+        return [(trees[0], model_classes) for trees, model_classes in zip(self.trees(), classes.astype(np.int64))]
 
     def _nodes(self, depth, order, bounds, sizes, split_level):
         n1 = np.add.reduceat(self.y[order % self.bm.n], bounds[:-1])
@@ -428,6 +493,8 @@ class GiniGrower(LevelGrower):
         return n1, (n1 > 0) & (n1 < sizes) & (sizes >= 2 * self.min_leaf) & (not depth_capped)
 
     def _gain(self, sizes, n1, left_n, left_sums, valid):
+        # parent - (lnf / n) * gini_left - (rnf / n) * gini_right, with gini = 1 - (c0 * c0 + c1 * c1) / (m * m)
+        # for the class counts c0, c1 and size m of each side; each operation in place
         (l1,) = left_sums
         n = sizes[:, np.newaxis]
         valid = valid & (left_n >= self.min_leaf) & ((n - left_n) >= self.min_leaf)
@@ -436,14 +503,29 @@ class GiniGrower(LevelGrower):
         parent = 1.0 - (n0 * n0 + n1 * n1) / (n * n)
         lnf = left_n.astype(np.float64)
         rnf = n - lnf
-        l0 = lnf - l1
-        r1 = n1 - l1
-        r0 = n0 - l0
         with np.errstate(divide="ignore", invalid="ignore"):
-            gini_left = 1.0 - (l0 * l0 + l1 * l1) / (lnf * lnf)
-            gini_right = 1.0 - (r0 * r0 + r1 * r1) / (rnf * rnf)
-            gain = parent - (lnf / n) * gini_left - (rnf / n) * gini_right
-        return gain, valid, -np.inf
+            gini_left = np.subtract(lnf, l1)  # l0
+            r1 = np.subtract(n1, l1)
+            r0 = np.subtract(n0, gini_left)
+            gini_left *= gini_left
+            l1 *= l1
+            gini_left += l1
+            np.multiply(lnf, lnf, out=l1)
+            gini_left /= l1
+            np.subtract(1.0, gini_left, out=gini_left)
+            r0 *= r0
+            r1 *= r1
+            r0 += r1
+            np.multiply(rnf, rnf, out=r1)
+            r0 /= r1
+            np.subtract(1.0, r0, out=r0)  # gini_right
+            lnf /= n
+            lnf *= gini_left
+            np.subtract(parent, lnf, out=lnf)
+            rnf /= n
+            rnf *= r0
+            lnf -= rnf
+        return lnf, valid, -np.inf
 
     def _payload(self, n1, sizes, is_leaf):
         klass = 2 * n1 > sizes
@@ -458,11 +540,13 @@ class StumpGrower(LevelGrower):
     value is the vote of its weighted majority class, +1.0 for class 1 and
     -1.0 for class 0: the root's from each model's 1-D weight sums, as
     boosting it alone takes them, the leaves' from the root's histogram at
-    the chosen bin.
+    the chosen bin, so a row's vote is its side's without a row partition.
     """
 
-    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray):
-        super().__init__(bm, ks, n_channels=2)
+    _leaves_from_split = True
+
+    def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, rounds: int):
+        super().__init__(bm, ks, 2, 1, rounds)
         self.class_1 = y == 1
 
     def grow(self, w: list[np.ndarray], row_votes: np.ndarray) -> None:

@@ -35,7 +35,7 @@ from .selection import rank_features
 
 N_FOLDS = 10
 # a fold fits each family's models for consecutive k together while n_train * sum(k) stays within this many elements
-LOCKSTEP_GROUP_ELEMENTS = 32_768
+LOCKSTEP_GROUP_ELEMENTS = 70_000
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,8 @@ def _fold_task(args) -> list[FoldRecord]:
     scored = {}
     for family in MODEL_FAMILIES:
         for ks in _lockstep_groups(k_values, len(y_train)):
-            models, train_classes = fit_group(family, binned, y_train, hp, ks, top)
-            for k, model, classes in zip(ks, models, train_classes):
+            # no reference to the group's models outlives their scoring, so the next group's fit reuses their memory
+            for k, model, classes in zip(ks, *fit_group(family, binned, y_train, hp, ks, top)):
                 rates = _rates(predict(model, X_test[:, :k]), y_test)
                 scored[family, k] = (rates, float(np.mean(classes == y_train)))
     records = []

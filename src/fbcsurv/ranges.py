@@ -51,7 +51,10 @@ class RangeStatus:
 def _shrink(low, high, margin: float):
     if not math.isfinite(margin):
         raise ValueError(f"soft_margin must be finite, got {margin}")
-    m = margin * (high - low)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = margin * (high - low)
+    if not np.isfinite(m).all():
+        raise ValueError(f"soft_margin {margin} is too large: margin * (high - low) is not finite")
     return low + m, high - m
 
 

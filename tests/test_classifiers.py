@@ -143,6 +143,16 @@ def test_tree_respects_min_leaf_and_depth():
     assert max(depths) <= 3
 
 
+@pytest.mark.parametrize("family, field", [(DT, "tree_max_depth"), (GBT, "gbt_depth")])
+def test_a_depth_beyond_the_row_count_fits_like_depth_n(family, field):
+    # a grower sizes its node records from max_depth; no tree is deeper than its row count
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 40, size=(30, 3))
+    y = rng.integers(0, 2, size=30)
+    fit = lambda depth: fit_model(family, X, y, Hyperparameters(**{field: depth, "tree_min_leaf": 1})).to_dict()
+    assert fit(10**9) == fit(30)
+
+
 def test_tree_monotone_relabel_invariance():
     rng = np.random.default_rng(12)
     X = rng.integers(0, 7, size=(60, 4))
@@ -255,11 +265,19 @@ def test_gbt_leaf_value_formula():
     g = np.array([[1.0, 1.0]])
     h = np.array([[1.0, 1.0]])
     out = np.empty((1, 2))
-    grower = NewtonGrower(bm, (1,), max_depth=3, l2=1.0)
+    grower = NewtonGrower(bm, (1,), max_depth=3, l2=1.0, rounds=1)
     grower.grow(g, h, out)
-    ((tree,),) = grower.pop_trees()
+    ((tree,),) = grower.trees()
     assert tree.feature.tolist() == [-1]
     assert tree.value[0] == pytest.approx(-2.0 / 3.0, abs=0)
+
+
+def test_grower_grows_no_more_rounds_than_it_is_sized_for():
+    grower = NewtonGrower(BinnedMatrix(np.array([[1], [2]])), (1,), max_depth=3, l2=1.0, rounds=1)
+    g = h = np.ones((1, 2))
+    grower.grow(g, h, np.empty((1, 2)))
+    with pytest.raises(ValueError, match="sized for 1 rounds"):
+        grower.grow(g, h, np.empty((1, 2)))
 
 
 def test_gbt_training_loss_non_increasing():

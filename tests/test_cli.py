@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import shutil
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -452,6 +453,17 @@ def test_non_finite_soft_margin_rejected(cohort_dir, tmp_path, capsys, command):
     for margin in ("-0.2", "0.7"):
         extra = FAST_EVALUATE if command == "evaluate" else []
         assert main([command, "--in", str(cohort_dir), "--out", str(tmp_path / margin), f"--soft-margin={margin}", *extra]) == 0
+
+
+@pytest.mark.parametrize("command", ["stats", "label", "features", "evaluate"])
+def test_overflowing_soft_margin_rejected(cohort_dir, tmp_path, capsys, command):
+    # a margin whose shrink overflows used to print numpy's overflow warning, make every soft range
+    # (inf, -inf) and exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, command, "--in", str(cohort_dir), "--out", str(tmp_path / "o"), "--soft-margin=1e308")
+    assert code == 1
+    assert err == "error: soft_margin 1e+308 is too large: margin * (high - low) is not finite\n"
 
 
 @pytest.mark.parametrize("command", ["label", "features", "evaluate"])

@@ -150,6 +150,14 @@ def test_sweep_deterministic_and_jobs_independent(small_sweep):
     assert report.records == parallel.records
 
 
+@pytest.mark.parametrize("budget", [1, 10**9], ids=["every_model_alone", "one_group_per_family"])
+def test_sweep_records_do_not_depend_on_the_group_budget(small_sweep, monkeypatch, budget):
+    filtered, report = small_sweep
+    monkeypatch.setattr(evaluation, "LOCKSTEP_GROUP_ELEMENTS", budget)
+    again = run_sweep(filtered, versions=(Version.V1, Version.V4), k_values=(5, 6, 7), hp=FAST_HP, seed=14)
+    assert again.records == report.records
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size and runs tasks in this process."""
 

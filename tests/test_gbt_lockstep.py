@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fbcsurv.classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_group, fit_model, predict
 from fbcsurv.classifiers.splits import BinnedMatrix
-from fbcsurv.classifiers.tree import NewtonGrower, StumpGrower
+from fbcsurv.classifiers.tree import NewtonGrower, StumpGrower, segment_sums
 from fbcsurv.evaluation import LOCKSTEP_GROUP_ELEMENTS, _lockstep_groups
 
 from adaboost_reference import best_stump, fit_adaboost_ensemble
@@ -47,7 +47,7 @@ def assert_same_trees(trees, references, votes=False):
 def grow_round(grower, g, h, row_values):
     """One round's trees, one per model."""
     grower.grow(g, h, row_values)
-    return [trees[0] for trees in grower.pop_trees()]
+    return [trees[0] for trees in grower.trees()]
 
 
 @st.composite
@@ -196,10 +196,10 @@ def test_lockstep_stumps_match_best_stump_for_arbitrary_weights(data):
     ks = data.draw(prefix_groups(d))
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
     w = [np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) for _ in ks]
-    grower = StumpGrower(BinnedMatrix(X), ks, y)
+    grower = StumpGrower(BinnedMatrix(X), ks, y, 1)
     votes = np.empty((len(ks), n))
     grower.grow(w, votes)
-    for stumps, model_votes, model_w, k in zip(grower.pop_trees(), votes, w, ks):
+    for stumps, model_votes, model_w, k in zip(grower.trees(), votes, w, ks):
         stump, _, expected_classes = best_stump(BinnedMatrix(X[:, :k]), y, model_w)
         assert_same_trees(stumps, [stump], votes=True)
         assert np.array_equal(model_votes, 2.0 * expected_classes - 1.0)
@@ -253,7 +253,7 @@ def test_lockstep_trees_match_reference_for_arbitrary_gradients(data):
     g = g.reshape(len(ks), n)
     h = h.reshape(len(ks), n)
     row_values = np.empty((len(ks), n))
-    trees = grow_round(NewtonGrower(BinnedMatrix(X), ks, depth, l2), g, h, row_values)
+    trees = grow_round(NewtonGrower(BinnedMatrix(X), ks, depth, l2, 1), g, h, row_values)
     for m, k in enumerate(ks):
         expected_values = np.empty(n)
         expected = grow_regression_tree(BinnedMatrix(X[:, :k]), g[m], h[m], depth, l2, expected_values)
@@ -282,11 +282,11 @@ def test_single_row_and_constant_columns_make_single_leaves():
     X = np.array([[4, 7]])
     for ks in [(1,), (2,), (1, 2)]:
         row_values = np.empty((len(ks), 1))
-        trees = grow_round(NewtonGrower(BinnedMatrix(X), ks, 3, 1.0), np.full((len(ks), 1), 0.5), np.full((len(ks), 1), 0.25), row_values)
+        trees = grow_round(NewtonGrower(BinnedMatrix(X), ks, 3, 1.0, 1), np.full((len(ks), 1), 0.5), np.full((len(ks), 1), 0.25), row_values)
         assert all(tree.feature.tolist() == [-1] and tree.n.tolist() == [1] for tree in trees)
         assert row_values.tolist() == [[-0.5 / 1.25]] * len(ks)
     constant = np.full((6, 3), 2)
-    trees = grow_round(NewtonGrower(BinnedMatrix(constant), (3,), 3, 0.0), np.ones((1, 6)), np.ones((1, 6)), np.empty((1, 6)))
+    trees = grow_round(NewtonGrower(BinnedMatrix(constant), (3,), 3, 0.0, 1), np.ones((1, 6)), np.ones((1, 6)), np.empty((1, 6)))
     assert trees[0].feature.tolist() == [-1] and trees[0].value.tolist() == [-1.0]
 
 
@@ -341,7 +341,7 @@ def test_root_split_matches_brute_force_oracle(data):
     g = data.draw(st.lists(eighths, min_size=n, max_size=n))
     h = data.draw(st.lists(st.integers(1, 16).map(lambda v: v / 8.0), min_size=n, max_size=n))
     l2 = data.draw(st.sampled_from([0.0, 1.0]))
-    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X), (d,), 1, l2), np.array([g]), np.array([h]), np.empty((1, n)))
+    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X), (d,), 1, l2, 1), np.array([g]), np.array([h]), np.empty((1, n)))
     expected = _brute_force_root_split(X, g, h, l2)
     if expected is None:
         assert tree.feature.tolist() == [-1]
@@ -360,12 +360,27 @@ def test_oracle_tie_break_prefers_lowest_feature_then_threshold():
     X = np.array([[0, 0, 5], [1, 1, 5], [2, 2, 5], [3, 3, 5]])
     g = np.array([[-1.0, -1.0, 1.0, 1.0]])
     h = np.ones((1, 4))
-    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X), (3,), 1, 1.0), g, h, np.empty((1, 4)))
+    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X), (3,), 1, 1.0, 1), g, h, np.empty((1, 4)))
     assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
     # symmetric gradients: thresholds 0.5 and 2.5 tie, the lower one must win
     g = np.array([[-1.0, 1.0, 1.0, -1.0]])
-    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X[:, :1]), (1,), 1, 1.0), g, h, np.empty((1, 4)))
+    (tree,) = grow_round(NewtonGrower(BinnedMatrix(X[:, :1]), (1,), 1, 1.0, 1), g, h, np.empty((1, 4)))
     assert tree.threshold[0] == 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_segment_sums_equal_per_node_sums(data):
+    # GBT node totals must stay ndarray.sum() of each node's rows: any other summation order moves results
+    n = data.draw(st.integers(1, 600))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n), max_size=10))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # signed values spread over 16 orders of magnitude, gathered in a random order as the grower gathers rows
+    base = rng.choice([-1.0, 1.0], (2, n)) * rng.random((2, n)) * 10.0 ** rng.integers(-8, 8, (2, n))
+    values = np.take(base, rng.permutation(n), axis=1)
+    expected = np.array([[row[a:b].sum() for row in values] for a, b in zip(bounds, bounds[1:])])
+    assert segment_sums(values, bounds).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +395,8 @@ def test_lockstep_groups_respect_the_element_budget():
     assert all(424 * sum(group) <= LOCKSTEP_GROUP_ELEMENTS for group in groups)
     # a group cannot take the next k without going over the budget
     assert all(424 * (sum(group) + nxt[0]) > LOCKSTEP_GROUP_ELEMENTS for group, nxt in zip(groups, groups[1:]))
-    # at large n every model boosts alone, and an oversized k still gets its group of one
-    assert _lockstep_groups((5, 6, 7), 4500) == [(5,), (6,), (7,)]
+    # the paper's sweep fits each family in two groups per fold, the large cohort's in two as well
+    assert groups == [tuple(range(5, 19)), tuple(range(19, 26))]
+    assert _lockstep_groups((5, 6, 7), 4500) == [(5, 6), (7,)]
+    # an oversized k still gets its group of one
     assert _lockstep_groups((25,), 10**6) == [(25,)]
