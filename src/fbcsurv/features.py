@@ -17,14 +17,16 @@ prefix (sex and age_group are scheme-independent and not repeated).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .cohort import Cohort, Measure, MEASURES, Sex, died_within_follow_up
+from .cohort import INT64, Cohort, Measure, MEASURES, Sex, died_within_follow_up
 from .labeling import VERSION_INDEX, CohortLabels, Version
+from .tables import BLOCK_CELLS, csv_field, parse_digit_cells, write_table
 
 SEX_CODE = {Sex.MALE: 1, Sex.FEMALE: 20}
 
@@ -130,45 +132,102 @@ def build_matrix(
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["patient_id", "target", *matrix.column_names])
-        for pid, row, target in zip(matrix.patient_ids, matrix.X.tolist(), matrix.y.tolist()):
-            writer.writerow([pid, target, *row])
+    write_table(
+        path,
+        ["patient_id", "target", *matrix.column_names],
+        (csv_field(pid) + "," for pid in matrix.patient_ids),
+        matrix.y[:, None],
+        matrix.X,
+    )
 
 
 def read_features_csv(path: str | Path, version: Version = Version.V1) -> FeatureMatrix:
     """Load a features.csv; the version tag is informational for loaded files.
 
     A row whose field count differs from the header's, a cell that is not an
-    integer, or a target other than 0 or 1 raises ValueError naming path:line.
+    integer within int64, a target other than 0 or 1 or a repeated column name
+    raises ValueError naming path:line. Canonical text, as write_features_csv
+    writes non-negative values, is parsed a block of rows at a time, each
+    block's cells in one numpy pass; any other text goes through csv.reader
+    row by row, which also reports every error.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["patient_id", "target"]:
-            raise ValueError(f"{path}: expected header starting patient_id,target")
-        columns = tuple(header[2:])
-        ids, rows = [], []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([int(v) for v in row[1:]])
-            except ValueError:
-                for name, raw in zip(header[1:], row[1:]):
-                    try:
-                        int(raw)
-                    except ValueError:
-                        raise ValueError(f"{path}:{line}: field {name!r}: must be an integer, got {raw!r}") from None
-            if rows[-1][0] not in (0, 1):
-                raise ValueError(f"{path}:{line}: field 'target': must be 0 or 1, got {row[1]!r}")
-            ids.append(row[0])
+        text = fh.read()
+    columns, ids, y, X = _parse_canonical(path, text) or _parse_rows(path, text)
+    return FeatureMatrix(column_names=columns, patient_ids=ids, X=X, y=y, version=version)
+
+
+def _columns(path: str | Path, header: list[str] | None) -> tuple[str, ...]:
+    if header is None or header[:2] != ["patient_id", "target"]:
+        raise ValueError(f"{path}: expected header starting patient_id,target")
+    columns = tuple(header[2:])
+    seen = set()
+    for name in columns:
+        if name in seen:
+            raise ValueError(f"{path}:1: duplicate column {name!r}")
+        seen.add(name)
+    return columns
+
+
+def _parse_canonical(path: str | Path, text: str):
+    """(columns, ids, y, X) of canonical text, else None.
+
+    Canonical: no quote and no carriage return, so csv.reader would split each
+    line on its commas; a newline after the last line; at least one row and
+    one column; every line with the header's comma count; targets and cells
+    ASCII digits (parse_digit_cells) with every target 0 or 1. The rows are
+    parsed a block at a time into arrays allocated once, so only one block's
+    cell text is held beside them.
+    """
+    if '"' in text or "\r" in text or not text.endswith("\n"):
+        return None
+    lines = text.split("\n")
+    lines.pop()  # the empty string after the final newline
+    columns = _columns(path, lines[0].split(","))
+    n, width = len(lines) - 1, len(columns)
+    if not n or not width:
+        return None
+    ids, y, X = [], np.empty(n, dtype=np.int64), np.empty((n, width), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // width)
+    for start in range(0, n, step):
+        block = lines[1 + start : 1 + start + step]
+        if any(line.count(",") != width + 1 for line in block):
+            return None
+        block_ids, targets, cells = zip(*(line.split(",", 2) for line in block))
+        block_y = parse_digit_cells(",".join(targets), (len(block),))
+        block_X = parse_digit_cells(",".join(cells), (len(block), width))
+        if block_y is None or block_y.max() > 1 or block_X is None:
+            return None
+        ids.extend(block_ids)
+        y[start : start + len(block)] = block_y
+        X[start : start + len(block)] = block_X
+    return columns, tuple(ids), y, X
+
+
+def _parse_rows(path: str | Path, text: str):
+    """(columns, ids, y, X) through csv.reader, one row at a time; raises ValueError on the first bad row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    columns = _columns(path, header)
+    ids, rows = [], []
+    for line, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+        try:
+            values = [int(v) for v in row[1:]]
+        except ValueError:
+            for name, raw in zip(header[1:], row[1:]):
+                try:
+                    int(raw)
+                except ValueError:
+                    raise ValueError(f"{path}:{line}: field {name!r}: must be an integer, got {raw!r}") from None
+        if values[0] not in (0, 1):
+            raise ValueError(f"{path}:{line}: field 'target': must be 0 or 1, got {row[1]!r}")
+        if min(values) < INT64.min or max(values) > INT64.max:
+            for name, raw, value in zip(header[1:], row[1:], values):
+                if not INT64.min <= value <= INT64.max:
+                    raise ValueError(f"{path}:{line}: field {name!r}: must be an integer within int64, got {raw!r}")
+        ids.append(row[0])
+        rows.append(values)
     data = np.asarray(rows, dtype=np.int64).reshape(len(ids), 1 + len(columns))
-    return FeatureMatrix(
-        column_names=columns,
-        patient_ids=tuple(ids),
-        X=np.ascontiguousarray(data[:, 1:]),
-        y=data[:, 0].copy(),
-        version=version,
-    )
+    return columns, tuple(ids), data[:, 0].copy(), np.ascontiguousarray(data[:, 1:])

@@ -14,7 +14,6 @@ functions (`label_patient`, `label_version`, `assign_group`) on one patient's.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -23,6 +22,7 @@ import numpy as np
 
 from .cohort import MEASURE_CODE, MEASURES, Cohort, Measure, Observations, PatientRecord
 from .ranges import SOFT_MARGIN_DEFAULT, range_codes
+from .tables import csv_field, write_table
 
 FAR_DAYS_DEFAULT = 180
 
@@ -271,8 +271,9 @@ def label_cohort(
 def write_labels_csv(cohort: Cohort, labels: CohortLabels, path: str | Path) -> None:
     """labels.csv: one row per (patient, measure) with the six scheme labels."""
     names = [m.value for m in MEASURES]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["patient_id", "measure", *(v.value for v in VERSIONS)])
-        for pid, per_measure in zip(cohort.patient_ids, labels.rows_for(cohort.patient_ids).tolist()):
-            writer.writerows([pid, name, *row] for name, row in zip(names, per_measure))
+    write_table(
+        path,
+        ["patient_id", "measure", *(v.value for v in VERSIONS)],
+        (f"{field},{name}," for field in map(csv_field, cohort.patient_ids) for name in names),
+        labels.rows_for(cohort.patient_ids).reshape(-1, len(VERSIONS)),
+    )

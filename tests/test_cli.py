@@ -198,6 +198,7 @@ def test_evaluate_reports_dead_worker(cohort_dir, tmp_path, capsys, monkeypatch)
         ("P3,1,2", "expected 4 fields, got 3"),
         ("P3,2,1,1", "field 'target': must be 0 or 1, got '2'"),
         ("P3,1,1,y", "field 'b': must be an integer, got 'y'"),
+        ("P3,1,1,99999999999999999999", "field 'b': must be an integer within int64, got '99999999999999999999'"),
     ],
 )
 def test_select_rejects_malformed_features(tmp_path, capsys, row, message):

@@ -182,11 +182,16 @@ def test_extra_version_matrix_values(tmp_path):
     [
         ("P2,1,3", ":3: expected 4 fields, got 3"),
         ("P2,1,3,4,5", ":3: expected 4 fields, got 5"),
+        ("P2,1,3\nP3,0,4,5,6", ":3: expected 4 fields, got 3"),  # the cell count of the whole body is right
         ("P2,1,3,x", ":3: field 'b': must be an integer, got 'x'"),
         ("P2,1,2.5,4", ":3: field 'a': must be an integer, got '2.5'"),
+        ("P2,1,,4", ":3: field 'a': must be an integer, got ''"),
+        ("P2,1,3,", ":3: field 'b': must be an integer, got ''"),
         ("P2,one,3,4", ":3: field 'target': must be an integer, got 'one'"),
         ("P2,2,3,4", ":3: field 'target': must be 0 or 1, got '2'"),
         ("P2,-1,3,4", ":3: field 'target': must be 0 or 1, got '-1'"),
+        ("P2,1,3,99999999999999999999", ":3: field 'b': must be an integer within int64, got '99999999999999999999'"),
+        ("P2,1,-9223372036854775809,4", ":3: field 'a': must be an integer within int64, got '-9223372036854775809'"),
     ],
 )
 def test_read_features_csv_rejects_malformed_rows(tmp_path, row, fragment):
@@ -195,6 +200,22 @@ def test_read_features_csv_rejects_malformed_rows(tmp_path, row, fragment):
     with pytest.raises(ValueError) as excinfo:
         read_features_csv(path)
     assert str(excinfo.value) == f"{path}{fragment}"
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])  # the one-pass parse and the per-row parser
+def test_read_features_csv_rejects_a_repeated_column(tmp_path, ending):
+    path = tmp_path / "features.csv"
+    path.write_text(ending.join(["patient_id,target,lbl_PLATELETS,sex,lbl_PLATELETS", "P1,0,1,1,2", ""]), newline="")
+    with pytest.raises(ValueError) as excinfo:
+        read_features_csv(path)
+    assert str(excinfo.value) == f"{path}:1: duplicate column 'lbl_PLATELETS'"
+
+
+def test_read_features_csv_keeps_int64_extremes(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("patient_id,target,a,b\nP1,0,9223372036854775807,-9223372036854775808\nP2,1,0,9223372036854775806\n")
+    matrix = read_features_csv(path)
+    assert matrix.X.tolist() == [[2**63 - 1, -(2**63)], [0, 2**63 - 2]]
 
 
 def test_read_features_csv_rejects_empty_file(tmp_path):
