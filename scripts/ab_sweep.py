@@ -6,7 +6,7 @@ run in a fresh Python process that imports the package from that tree's
 `src/`, on one synthetic cohort made once by tree A's `fbcsurv synth`. The
 first side swaps every pair. Each run prints the CPU seconds of `run_sweep`
 and the process's `ru_maxrss`; the records of every run must be equal, or the
-script exits 1.
+script exits 1. The summary gives each side's median and inclusive quartiles.
 
     python3 scripts/ab_sweep.py --a ../parent --b . --pairs 10
     python3 scripts/ab_sweep.py --a ../parent --b . --n 5000 --k-min 5 --k-max 7 --pairs 6
@@ -47,6 +47,13 @@ print(json.dumps({
 """
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Inclusive first quartile, median and third quartile; a single run is all three."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def run_child(tree: Path, argv: list[str]) -> dict:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True)
@@ -85,8 +92,13 @@ def main() -> int:
     for metric in ("cpu_s", "maxrss_mb"):
         a, b = ([run[metric] for run in runs[side]] for side in "ab")
         better = sum(y < x for x, y in zip(a, b))
-        print(f"{metric}: median a {statistics.median(a):.3f}  b {statistics.median(b):.3f}  b lower in {better}/{len(a)} pairs")
-        summary[metric] = {"a_median": statistics.median(a), "b_median": statistics.median(b), "b_lower_pairs": better}
+        summary[metric] = {"b_lower_pairs": better}
+        parts = []
+        for side, values in (("a", a), ("b", b)):
+            q1, median, q3 = quartiles(values)
+            summary[metric].update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
+            parts.append(f"{side} {median:.3f} (q1 {q1:.3f}, q3 {q3:.3f})")
+        print(f"{metric}: median {'  '.join(parts)}  b lower in {better}/{len(a)} pairs")
     print("records equal" if summary["equal_records"] else "RECORDS DIFFER")
     print(json.dumps(summary))
     return 0 if summary["equal_records"] else 1

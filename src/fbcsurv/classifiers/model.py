@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -32,12 +32,16 @@ class ModelFamily(Enum):
 MODEL_FAMILIES = tuple(ModelFamily)
 
 
+# the most boosting rounds a model may take: a grower allocates its node records for every round up front
+MAX_ROUNDS = 10_000
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
     tree_max_depth: int | None = 4  # None = unbounded
     tree_min_leaf: int = 5
-    ada_rounds: int = 50
-    gbt_rounds: int = 100
+    ada_rounds: int = field(default=50, metadata={"bounds": (0, MAX_ROUNDS)})
+    gbt_rounds: int = field(default=100, metadata={"bounds": (0, MAX_ROUNDS)})
     gbt_depth: int = 3
     gbt_learning_rate: float = 0.1
     gbt_l2: float = 1.0
@@ -47,8 +51,11 @@ class Hyperparameters:
             raise ValueError("tree_max_depth must be >= 1 or None")
         if self.tree_min_leaf < 1:
             raise ValueError("tree_min_leaf must be >= 1")
-        if self.ada_rounds < 0 or self.gbt_rounds < 0:
-            raise ValueError("boosting rounds must be >= 0")
+        for hp_field in fields(self):
+            if "bounds" in hp_field.metadata:
+                (low, high), value = hp_field.metadata["bounds"], getattr(self, hp_field.name)
+                if not low <= value <= high:
+                    raise ValueError(f"{hp_field.name} must lie in {low}..{high}, got {value}")
         if self.gbt_depth < 1:
             raise ValueError("gbt_depth must be >= 1")
         if not (0.0 < self.gbt_learning_rate <= 1.0):

@@ -8,6 +8,12 @@ index, then lowest threshold. The bins of the first k columns are a prefix
 of the flat code space, so one binning serves every column prefix. The
 level-wise grower in `tree.py` builds its histograms over these codes.
 
+Each column records its source: the first column with its rank codes on
+every row, as `add_A_B` and `mul_A_B` of two-valued labels are. A repeat's
+(node, bin) sums equal its source's bit for bit, so the grower bins only
+distinct columns. A source is never later than its column, so every prefix
+keeps its sources.
+
 Splits are `feature <= t` with t the midpoint between consecutive distinct
 values present at the node, so integer features give a finite, exact set.
 """
@@ -28,10 +34,14 @@ class BinnedMatrix:
         offsets = [0]
         codes = np.empty_like(X)
         values: list[np.ndarray] = []
+        first: dict[bytes, int] = {}  # rank codes -> the first column with them
+        source = []
         for j in range(self.d):
             uniq, codes[:, j] = np.unique(X[:, j], return_inverse=True)
             values.append(uniq.astype(np.float64))
             offsets.append(offsets[-1] + len(values[-1]))
+            source.append(first.setdefault(codes[:, j].tobytes(), j))
+        self.source = np.asarray(source, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)  # segment bounds, len d+1
         self.n_bins = int(self.offsets[-1])
         self.bin_values = np.concatenate(values)
@@ -47,7 +57,7 @@ class BinnedMatrix:
         view = object.__new__(BinnedMatrix)
         end = int(self.offsets[k])
         view.n, view.d, view.n_bins = self.n, k, end
-        view.offsets, view.flat_codes = self.offsets[: k + 1], self.flat_codes[:, :k]
+        view.offsets, view.flat_codes, view.source = self.offsets[: k + 1], self.flat_codes[:, :k], self.source[:k]
         for name in ("bin_values", "col_of_bin", "seg_start"):  # one entry per flat bin
             setattr(view, name, getattr(self, name)[:end])
         return view

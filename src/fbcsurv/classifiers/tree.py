@@ -209,18 +209,24 @@ class LevelGrower:
     """Level-wise trees for a group of models grown in lockstep: the one tree grower of every family.
 
     Model m sees the first ks[m] columns of `bm`, so its flat bins are a
-    prefix of bm's. At each tree level one bincount per weight channel over a
-    (node, flat-bin) code space scores every open node of every model; each
-    (node, bin) sum adds the node's rows in ascending order and each node's
-    cumulative sums run from 0 across all its columns, as scanning the node
-    alone does. A node takes its first best bin: lowest feature, then lowest
-    threshold. A family subclass supplies its weight channels and three
-    methods: `_nodes` (each open node's totals, and whether it may split),
-    `_gain` (every split's gain and validity, and the floor the best gain
-    must beat; it may overwrite the left sums) and `_payload` (node values,
-    then the `_extras` columns). A grower is sized for `rounds` trees per
-    model of at most max_depth levels below the root (None is unbounded);
-    `trees` ends the fit.
+    prefix of bm's. At each tree level one bincount per weight channel scores
+    every open node of every model. It bins each model's distinct columns
+    only (`BinnedMatrix.source`), in a compact (node, bin) space with one
+    empty bin per node; one index per level expands each histogram to the
+    full (node, flat-bin) layout, where a repeat copies its source's sums and
+    a column beyond the model's k reads the empty bin. No bit changes: each
+    (node, bin) sum adds the node's rows in ascending order, a repeat's the
+    same rows with the same weights as its source's, and each node's
+    cumulative sums run from 0 across all its columns of the full layout, as
+    scanning the node alone does, so a repeat that wins by rounding still
+    wins, with its own threshold. A node takes its first best bin: lowest
+    feature, then lowest threshold. A family subclass supplies its weight
+    channels and three methods: `_nodes` (each open node's totals, and
+    whether it may split), `_gain` (every split's gain and validity, and the
+    floor the best gain must beat; it may overwrite the left sums) and
+    `_payload` (node values, then the `_extras` columns). A grower is sized
+    for `rounds` trees per model of at most max_depth levels below the root
+    (None is unbounded); `trees` ends the fit.
     """
 
     # the family's `Tree` columns after value, as `_payload` returns them
@@ -236,24 +242,37 @@ class LevelGrower:
         self.n_models = len(ks)
         self.n_bins = bm.n_bins
         self.max_depth = max_depth
-        # One element per (model, column < k, row), in that order, so a (node, bin) sum adds rows in
-        # ascending order. Model m's elements are a (k, n) block of each buffer, reused every level.
-        size = n * sum(ks)
+        # Only the distinct columns are binned, each into its segment of a compact per-slot bin space whose
+        # last bin no element reaches. Per column: the position of its source among the distinct columns.
+        distinct = np.flatnonzero(bm.source == np.arange(bm.d))
+        compact_start = np.concatenate(([0], np.cumsum(np.diff(bm.offsets)[distinct])))
+        self._width = int(compact_start[-1]) + 1
+        self._position = np.searchsorted(distinct, bm.source)
+        # per flat bin: its compact bin, in its column's source; per model, the one its histogram copies,
+        # which for a column beyond the model's k is the empty bin
+        self._compact_bin = compact_start[self._position][bm.col_of_bin] + np.arange(self.n_bins) - bm.seg_start
+        self._expand = np.where(bm.col_of_bin < np.array(ks)[:, np.newaxis], self._compact_bin, self._width - 1)
+        # compact bin of (distinct column, row) at position * n + row, straight from the flat codes
+        column_codes = bm.flat_codes.T[distinct]
+        column_codes += (compact_start[:-1] - bm.offsets[distinct])[:, np.newaxis]
+        self._column_codes = column_codes.ravel()
+        # One element per (model, distinct column < k, row), in that order, so a (node, bin) sum adds rows in
+        # ascending order. Model m's elements are a (distinct columns, n) block of each buffer, reused every level.
+        n_distinct = np.searchsorted(distinct, ks).tolist()
+        size = n * sum(n_distinct)
         self._codes = np.empty(size, dtype=np.int64)
         self._channels = [np.empty(size, dtype=np.float64) for _ in range(n_channels)]
-        # flat bin of (column, row) at column * n + row
-        self._column_codes = np.ascontiguousarray(bm.flat_codes.T).ravel()
         self._blocks = []
         start = 0
-        for k in ks:
-            end = start + n * k
-            views = (buf[start:end].reshape(k, n) for buf in (self._codes, *self._channels))
-            self._blocks.append((self._column_codes[: n * k].reshape(k, n), *views))
+        for columns in n_distinct:
+            end = start + n * columns
+            views = (buf[start:end].reshape(columns, n) for buf in (self._codes, *self._channels))
+            self._blocks.append((column_codes[:columns], *views))
             start = end
         # the root level's codes and counts do not depend on the weights
         self._fill_codes(np.arange(self.n_models * n), np.repeat(np.arange(self.n_models), n), self.n_models)
         self._root_codes = self._codes.copy()
-        self._root_counts = self._bin_sums(self._root_codes, self.n_models)
+        self._root_counts = self._bin_sums(self._root_codes, self._expansion(np.arange(self.n_models)))
         # One record per grown node, level after level of every round, in columns allocated once: its tree
         # (round * n_models + model), row count, feature and threshold (-1 and 0 at a leaf), value and extras.
         # A tree has at most 2n - 1 nodes, and at most 2 ** (max_depth + 1) - 1; its depth is below n.
@@ -267,17 +286,25 @@ class LevelGrower:
         self._max_rounds = rounds
 
     def _fill_codes(self, order: np.ndarray, slot_of_pos: np.ndarray, n_slots: int) -> None:
-        """Write each element's (slot, flat bin) code; rows outside the slots go to slot n_slots."""
-        slot_base = np.full(self.n_models * self.bm.n, n_slots * self.n_bins, dtype=np.int64)
-        slot_base[order] = slot_of_pos * self.n_bins
+        """Write each element's (slot, compact bin) code; rows outside the slots go to slot n_slots."""
+        slot_base = np.full(self.n_models * self.bm.n, n_slots * self._width, dtype=np.int64)
+        slot_base[order] = slot_of_pos * self._width
         slot_base = slot_base.reshape(self.n_models, -1)
         for m, (bins, codes, *_) in enumerate(self._blocks):
             np.add(slot_base[m], bins, out=codes)
 
-    def _bin_sums(self, codes: np.ndarray, n_slots: int, weights: np.ndarray | None = None):
-        """Per slot and flat bin of codes: element counts (or weight sums) and their left-cumulative sums."""
-        size = n_slots * self.n_bins
-        sums = np.bincount(codes, weights=weights, minlength=size + self.n_bins)[:size].reshape(n_slots, -1)
+    def _expansion(self, slot_model: np.ndarray) -> np.ndarray:
+        """Per slot (of model slot_model[slot]) and flat bin: the compact histogram element it copies."""
+        return self._expand[slot_model] + (np.arange(len(slot_model)) * self._width)[:, np.newaxis]
+
+    def _bin_sums(self, codes: np.ndarray, index: np.ndarray, weights: np.ndarray | None = None):
+        """Per slot and flat bin of index: element counts (or weight sums) and their left-cumulative sums.
+
+        The compact histogram is expanded first, so the cumulative sums run across every column.
+        """
+        n_slots = len(index)
+        compact = np.bincount(codes, weights=weights, minlength=(n_slots + 1) * self._width)
+        sums = np.take(compact, index)
         cum = np.zeros((n_slots, self.n_bins + 1), dtype=sums.dtype)
         np.cumsum(sums, axis=1, out=cum[:, 1:])
         left = cum[:, 1:]
@@ -321,14 +348,15 @@ class LevelGrower:
             totals, split = self._nodes(depth, order, bounds, sizes, split_level)
             if split.any():
                 # every open node gets a histogram row, as its rows are binned anyway; one that may not split
-                # has no valid bin
+                # has no valid bin. One index expands the count and weight histograms alike.
+                index = self._expansion(slot_tree % n_models)
                 if depth == 0:
                     codes, (counts, left_counts) = self._root_codes, self._root_counts
                 else:
                     self._fill_codes(order, slot_of_pos, n_slots)
                     codes = self._codes
-                    counts, left_counts = self._bin_sums(codes, n_slots)
-                left_sums = [self._bin_sums(codes, n_slots, weights)[1] for weights in self._channels]
+                    counts, left_counts = self._bin_sums(codes, index)
+                left_sums = [self._bin_sums(codes, index, weights)[1] for weights in self._channels]
                 valid = split[:, np.newaxis] & (counts > 0) & (left_counts < sizes[:, np.newaxis])
                 gain, valid, floor = self._gain(sizes, totals, left_counts, left_sums, valid)
                 # first maximum wins: lowest feature, then lowest threshold
@@ -359,7 +387,9 @@ class LevelGrower:
             split_level = (totals, at, left_sums)
             parent_sizes = sizes[split]
             parent = np.repeat(np.arange(n_split), parent_sizes)
-            goes_left = self._column_codes[features[parent] * n + order % n] <= flat_bin[parent]
+            # a row's compact code in the split column's source against the split bin's compact bin
+            column_start = self._position[features] * n
+            goes_left = self._column_codes[column_start[parent] + order % n] <= self._compact_bin[flat_bin][parent]
             child = 2 * parent + ~goes_left
             sizes = np.column_stack((n_left, parent_sizes - n_left)).ravel()
             slot_tree = np.repeat(slot_tree[split], 2)

@@ -43,6 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tables import csv_rows
+
 FOLLOW_UP_DAYS = 730  # "2 years" fixed as 730 days; deterministic boundary
 
 SIDECAR = "cohort.npz"
@@ -426,7 +428,7 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
     # patient_id -> (sex, age, diagnosis ordinal, death ordinal), in file order
     patients: dict[str, tuple[str, int, int, int]] = {}
     with open(patients_file, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, pfile)
         header = next(reader, None)
         if not _check_header(header, PATIENTS_COLUMNS, pfile, problems):
             raise CohortError(problems)
@@ -481,7 +483,7 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
     patient_col, measure_col, day_col = array("q"), array("b"), array("q")
     value_col, low_col, high_col = array("d"), array("d"), array("d")
     with open(observations_file, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, ofile)
         header = next(reader, None)
         if not _check_header(header, OBSERVATIONS_COLUMNS, ofile, problems):
             raise CohortError(problems)

@@ -34,7 +34,9 @@ from .ranges import SOFT_MARGIN_DEFAULT
 from .selection import rank_features
 
 N_FOLDS = 10
-# a fold fits each family's models for consecutive k together while n_train * sum(k) stays within this many elements
+# a fold fits each family's models for consecutive k together while n_train * sum(k) stays within this many elements.
+# The grower's buffers hold only each model's distinct columns, often about half of sum(k), but the budget counts
+# every column on purpose: sized by distinct columns, a fold fits in one group whose models hold more memory at once.
 LOCKSTEP_GROUP_ELEMENTS = 70_000
 
 

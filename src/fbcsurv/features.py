@@ -26,7 +26,7 @@ import numpy as np
 
 from .cohort import INT64, Cohort, Measure, MEASURES, Sex, died_within_follow_up
 from .labeling import VERSION_INDEX, CohortLabels, Version
-from .tables import BLOCK_CELLS, csv_field, parse_digit_cells, write_table
+from .tables import BLOCK_CELLS, csv_field, csv_rows, parse_digit_cells, write_table
 
 SEX_CODE = {Sex.MALE: 1, Sex.FEMALE: 20}
 
@@ -145,11 +145,12 @@ def read_features_csv(path: str | Path, version: Version = Version.V1) -> Featur
     """Load a features.csv; the version tag is informational for loaded files.
 
     A row whose field count differs from the header's, a cell that is not an
-    integer within int64, a target other than 0 or 1 or a repeated column name
-    raises ValueError naming path:line. Canonical text, as write_features_csv
-    writes non-negative values, is parsed a block of rows at a time, each
-    block's cells in one numpy pass; any other text goes through csv.reader
-    row by row, which also reports every error.
+    integer within int64, a target other than 0 or 1, a repeated column name
+    or a field longer than csv.field_size_limit() characters raises ValueError
+    naming path:line. Canonical text, as write_features_csv writes
+    non-negative values, is parsed a block of rows at a time, each block's
+    cells in one numpy pass; any other text goes through csv.reader row by
+    row, which also reports every error.
     """
     with open(path, newline="") as fh:
         text = fh.read()
@@ -173,16 +174,19 @@ def _parse_canonical(path: str | Path, text: str):
     """(columns, ids, y, X) of canonical text, else None.
 
     Canonical: no quote and no carriage return, so csv.reader would split each
-    line on its commas; a newline after the last line; at least one row and
-    one column; every line with the header's comma count; targets and cells
-    ASCII digits (parse_digit_cells) with every target 0 or 1. The rows are
-    parsed a block at a time into arrays allocated once, so only one block's
-    cell text is held beside them.
+    line on its commas; a newline after the last line; no line longer than
+    csv.field_size_limit(), so csv.reader would accept each field; at least
+    one row and one column; every line with the header's comma count;
+    targets and cells ASCII digits (parse_digit_cells) with every target 0 or
+    1. The rows are parsed a block at a time into arrays allocated once, so
+    only one block's cell text is held beside them.
     """
     if '"' in text or "\r" in text or not text.endswith("\n"):
         return None
     lines = text.split("\n")
     lines.pop()  # the empty string after the final newline
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
     columns = _columns(path, lines[0].split(","))
     n, width = len(lines) - 1, len(columns)
     if not n or not width:
@@ -206,7 +210,7 @@ def _parse_canonical(path: str | Path, text: str):
 
 def _parse_rows(path: str | Path, text: str):
     """(columns, ids, y, X) through csv.reader, one row at a time; raises ValueError on the first bad row."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv_rows(io.StringIO(text, newline=""), path)
     header = next(reader, None)
     columns = _columns(path, header)
     ids, rows = [], []

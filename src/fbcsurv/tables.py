@@ -1,4 +1,4 @@
-"""Text codec of the integer CSV tables, features.csv and labels.csv.
+"""Text codec of the integer CSV tables, features.csv and labels.csv, and the row reader of every CSV input.
 
 A line of such a table is one or two text fields (a patient id, a measure
 name) followed by integer cells. `write_table` formats each distinct value of
@@ -6,7 +6,7 @@ a block of rows once and writes the block as joined lines; `parse_digit_cells`
 parses comma-separated ASCII digits in one numpy pass. Both keep the bytes
 and values of `csv.writer` and `int()` on the text they accept, and neither
 builds a Python object per cell of the whole table, so peak memory stays near
-the size of the integer array itself.
+the size of the integer array itself. `csv_rows` is every per-row CSV parser's reader.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,16 @@ def csv_field(value) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([value, ""])
     return buf.getvalue()[: -len(",\n")]
+
+
+def csv_rows(lines: Iterable[str], path: str | Path) -> Iterator[list[str]]:
+    """csv.reader's rows of `lines`; a csv.Error becomes a ValueError "path:row: message", rows counted from 1."""
+    row = 0
+    try:
+        for row, fields in enumerate(csv.reader(lines), start=1):
+            yield fields
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{row + 1}: {exc}") from None
 
 
 def write_table(path: str | Path, header: Sequence[str], prefixes: Iterable[str], *blocks: np.ndarray) -> None:

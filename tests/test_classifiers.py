@@ -13,6 +13,7 @@ from fbcsurv.classifiers import (
     fit_model,
     predict,
 )
+from fbcsurv.classifiers.model import MAX_ROUNDS
 from fbcsurv.classifiers.splits import BinnedMatrix
 from fbcsurv.classifiers.tree import NewtonGrower
 
@@ -482,6 +483,12 @@ def test_hyperparameter_validation():
         Hyperparameters(tree_max_depth=0)
     with pytest.raises(ValueError):
         Hyperparameters(ada_rounds=-1)
+    # the upper bound is checked by construction only: no fit runs at a large round count
+    for name in ("ada_rounds", "gbt_rounds"):
+        for rounds in (-1, MAX_ROUNDS + 1, 10**20):
+            with pytest.raises(ValueError, match=f"^{name} must lie in 0..{MAX_ROUNDS}, got {rounds}$"):
+                Hyperparameters(**{name: rounds})
+        assert getattr(Hyperparameters(**{name: MAX_ROUNDS}), name) == MAX_ROUNDS
     for l2 in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gbt_l2"):
             Hyperparameters(gbt_l2=l2)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import pytest
 import fbcsurv.cohort
 import fbcsurv.evaluation
 from fbcsurv.classifiers import Hyperparameters
+from fbcsurv.classifiers.model import MAX_ROUNDS
 from fbcsurv.cli import build_parser, main
 from fbcsurv.cohort import CSV_FILES, SIDECAR, CohortError, ingest_cohort, read_cohort, write_cohort
 from fbcsurv.labeling import DEFAULT_WINDOW, FAR_DAYS_DEFAULT, DiagnosisWindow, Version
@@ -210,6 +212,17 @@ def test_select_rejects_malformed_features(tmp_path, capsys, row, message):
     assert not (tmp_path / "o" / "ranking.csv").exists()
 
 
+@pytest.mark.parametrize("quote", ['"', ""], ids=["per_row_parser", "one_pass_parser"])
+def test_select_rejects_a_field_over_the_csv_limit(tmp_path, capsys, quote):
+    # a quoted id this long used to end select with a _csv.Error traceback, and the one-pass parser read it unquoted
+    limit = csv.field_size_limit()
+    features = tmp_path / "features.csv"
+    features.write_text(f"patient_id,target,a,b\nP1,0,1,2\n{quote}{'P' * (limit + 1)}{quote},1,2,1\n")
+    code, _, err = run(capsys, "select", "--features", str(features), "--out", str(tmp_path / "o"))
+    assert (code, err) == (1, f"error: {features}:3: field larger than field limit ({limit})\n")
+    assert not (tmp_path / "o" / "ranking.csv").exists()
+
+
 def test_missing_input_fails_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "stats", "--in", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o"))
     assert code == 1
@@ -296,6 +309,19 @@ def test_age_beyond_int64_is_a_parser_error(tmp_path, capsys, command):
 def test_largest_int64_age_is_accepted(tmp_path, capsys, command):
     cohort = _two_patient_cohort(tmp_path / "cohort", age=str(2**63 - 1))
     assert run(capsys, command, "--in", str(cohort), "--out", str(tmp_path / "out"))[0] == 0
+
+
+@pytest.mark.parametrize("table", ["patients.csv", "observations.csv"])
+def test_ingest_rejects_a_field_over_the_csv_limit(tmp_path, capsys, table):
+    # such a field used to end ingest with a _csv.Error traceback
+    cohort = _two_patient_cohort(tmp_path / "cohort")
+    path = cohort / table
+    lines = path.read_text().splitlines(keepends=True)
+    limit = csv.field_size_limit()
+    lines[2] = "P" * (limit + 1) + lines[2][len("P1") :]
+    path.write_text("".join(lines))
+    code, _, err = run(capsys, "ingest", "--in", str(cohort), "--out", str(tmp_path / "out"))
+    assert (code, err) == (1, f"error: {path}:3: field larger than field limit ({limit})\n")
 
 
 @pytest.mark.parametrize("command", ["ingest", "stats", "label", "features"])
@@ -465,6 +491,17 @@ def test_overflowing_soft_margin_rejected(cohort_dir, tmp_path, capsys, command)
         code, _, err = run(capsys, command, "--in", str(cohort_dir), "--out", str(tmp_path / "o"), "--soft-margin=1e308")
     assert code == 1
     assert err == "error: soft_margin 1e+308 is too large: margin * (high - low) is not finite\n"
+
+
+@pytest.mark.parametrize("flag", ["--gbt-rounds", "--ada-rounds"])
+def test_too_many_boosting_rounds_rejected(cohort_dir, tmp_path, capsys, flag):
+    # 10**20 rounds used to fail in numpy with "Maximum allowed dimension exceeded", naming no flag; only values the
+    # check rejects are run, as an accepted large value would size a grower for that many rounds
+    name = flag[2:].replace("-", "_")
+    for rounds in (str(10**20), str(MAX_ROUNDS + 1)):
+        code, _, err = run(capsys, "evaluate", "--in", str(cohort_dir), "--out", str(tmp_path / rounds), flag, rounds)
+        assert (code, err) == (1, f"error: {name} must lie in 0..{MAX_ROUNDS}, got {rounds}\n")
+        assert not (tmp_path / rounds / "results.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["label", "features", "evaluate"])

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -209,6 +211,21 @@ def test_read_features_csv_rejects_a_repeated_column(tmp_path, ending):
     with pytest.raises(ValueError) as excinfo:
         read_features_csv(path)
     assert str(excinfo.value) == f"{path}:1: duplicate column 'lbl_PLATELETS'"
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["per_row_parser", "one_pass_parser"])
+def test_read_features_csv_field_length_rule(tmp_path, quote):
+    # both read paths accept a field of up to csv.field_size_limit() characters and reject a longer one
+    limit = csv.field_size_limit()
+    path = tmp_path / "features.csv"
+    for length in (limit, limit + 1):
+        path.write_text(f"patient_id,target,a\nP1,0,1\n{quote}{'P' * length}{quote},1,2\n")
+        if length == limit:
+            assert read_features_csv(path).patient_ids == ("P1", "P" * limit)
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                read_features_csv(path)
+            assert str(excinfo.value) == f"{path}:3: field larger than field limit ({limit})"
 
 
 def test_read_features_csv_keeps_int64_extremes(tmp_path):

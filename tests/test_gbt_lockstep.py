@@ -1,6 +1,7 @@
 """The one group fit path for every family, and the level-wise grower's CART trees, AdaBoost stumps
 and Newton trees against the per-node references and a brute-force split oracle."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,14 +21,27 @@ from tree_reference import nodes_from_tree
 
 @st.composite
 def integer_matrices(draw, max_rows=40, max_cols=6):
-    """Small integer matrices; some columns constant, some with a wide value span."""
+    """Small integer matrices; some columns constant, some with a wide value span, some repeats.
+
+    A repeat ranks every row as an earlier column does, so the grower bins it
+    once: an exact copy or `3x + 1` of an earlier column, or the paper's
+    add/mul pair of two labels in {1, 2}, whose sums {2, 3, 4} and products
+    {1, 2, 4} rank alike.
+    """
     n = draw(st.integers(1, max_rows))
     d = draw(st.integers(1, max_cols))
     columns = []
-    for _ in range(d):
-        kind = draw(st.sampled_from(["constant", "narrow", "wide"]))
+    while len(columns) < d:
+        kinds = ["constant", "narrow", "wide", "add_mul"] + ["repeat"] * bool(columns)
+        kind = draw(st.sampled_from(kinds))
         if kind == "constant":
             columns.append([draw(st.integers(-3, 3))] * n)
+        elif kind == "repeat":
+            source = np.array(columns[draw(st.integers(0, len(columns) - 1))])
+            columns.append(source if draw(st.booleans()) else 3 * source + 1)
+        elif kind == "add_mul":
+            a, b = (np.array(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))) for _ in range(2))
+            columns.extend([a + b, a * b][: d - len(columns)])
         else:
             high = 3 if kind == "narrow" else 2000
             columns.append(draw(st.lists(st.integers(0, high), min_size=n, max_size=n)))
@@ -71,11 +85,15 @@ def test_prefix_binning_equals_binning_of_the_prefix(X):
     for k in range(1, X.shape[1] + 1):
         prefix, alone = binned.prefix(k), BinnedMatrix(X[:, :k])
         assert (prefix.n, prefix.d, prefix.n_bins) == (alone.n, alone.d, alone.n_bins)
-        for name in ("offsets", "bin_values", "col_of_bin", "flat_codes", "seg_start"):
+        for name in ("offsets", "bin_values", "col_of_bin", "flat_codes", "seg_start", "source"):
             assert np.array_equal(getattr(prefix, name), getattr(alone, name))
         assert np.shares_memory(prefix.flat_codes, binned.flat_codes)
     with pytest.raises(ValueError, match="column prefix"):
         binned.prefix(X.shape[1] + 1)
+    # a column's source is the first column that ranks every row as it does
+    ranks = [np.unique(column, return_inverse=True)[1].ravel() for column in X.T]
+    first = [next(i for i in range(j + 1) if np.array_equal(ranks[i], ranks[j])) for j in range(X.shape[1])]
+    assert binned.source.tolist() == first
 
 
 def _check_group_against_single_fits(family, X, y, hp, ks):
@@ -124,6 +142,14 @@ EDGE_CASES = {
     # column 0 is constant and the classes balanced: the k=1 model stops at once, the k=2 model boosts on
     "first_stump_error_half_in_one_model": (np.column_stack((np.full(20, 2), _X_20[:, 0])), _Y_20, Hyperparameters()),
 }
+# columns: 0 narrow, 1 = 3 * column 0 + 1, 2 constant, 3 a copy of 2, 4 and 5 the add/mul pair of two labels in
+# {1, 2}, 6 a copy of 0; so each model k < 7 of a group of every k has a repeat beyond its k
+_A, _B = (np.random.default_rng(seed).integers(1, 3, size=20) for seed in (7, 8))
+_X_REPEATS = np.column_stack(
+    (_X_20[:, 0], 3 * _X_20[:, 0] + 1, np.full(20, 2), np.full(20, 2), _A + _B, _A * _B, _X_20[:, 0])
+)
+_SOURCES = [0, 0, 2, 2, 4, 4, 0]
+EDGE_CASES["repeated_columns"] = (_X_REPEATS, _Y_20, Hyperparameters(tree_min_leaf=1))
 # AdaBoost stumps kept per k, for the cases whose models stop in different rounds
 STUMPS_KEPT = {"perfect_stump": [50, 50, 1], "first_stump_error_half_in_one_model": [0, 50]}
 
@@ -221,7 +247,19 @@ def test_lockstep_boosting_matches_per_node_reference(data):
         gbt_learning_rate=learning_rate,
         gbt_l2=l2,
     )
-    names = tuple(f"f{j}" for j in range(d))
+    _check_gbt_group_against_reference(X, y, hp, ks)
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_gbt_edge_cases_match_per_node_reference(case):
+    X, y, hp = EDGE_CASES[case]
+    hp = dataclasses.replace(hp, gbt_rounds=min(hp.gbt_rounds, 10))  # the per-node reference is slow
+    _check_gbt_group_against_reference(X, y, hp, tuple(range(1, X.shape[1] + 1)))
+
+
+def _check_gbt_group_against_reference(X, y, hp, ks):
+    """Each GBT group model equals the per-node boosting reference on its columns, bit for bit, and fit_model."""
+    names = tuple(f"f{j}" for j in range(X.shape[1]))
     models, train_classes = fit_group(ModelFamily.GBT, BinnedMatrix(X), y, hp, ks, names)
     assert [m.feature_names for m in models] == [names[:k] for k in ks]
     for model, classes, k in zip(models, train_classes, ks):
@@ -259,6 +297,69 @@ def test_lockstep_trees_match_reference_for_arbitrary_gradients(data):
         expected = grow_regression_tree(BinnedMatrix(X[:, :k]), g[m], h[m], depth, l2, expected_values)
         assert nodes_from_tree(trees[m]) == expected
         assert np.array_equal(row_values[m], expected_values)
+
+
+# ---------------------------------------------------------------------------
+# distinct-column binning
+# ---------------------------------------------------------------------------
+
+
+def test_binned_matrix_records_each_columns_source():
+    binned = BinnedMatrix(_X_REPEATS)
+    assert binned.source.tolist() == _SOURCES
+    for k in range(1, len(_SOURCES) + 1):
+        assert binned.prefix(k).source.tolist() == _SOURCES[:k]
+
+
+@pytest.mark.parametrize("ks", [(1,), (2, 5), (1, 3, 4, 7), (7,)])
+def test_grower_buffers_hold_each_models_distinct_columns(ks):
+    grower = NewtonGrower(BinnedMatrix(_X_REPEATS), ks, 3, 1.0, 1)
+    distinct = [len(set(_SOURCES[:k])) for k in ks]
+    n = len(_X_REPEATS)
+    assert [buffer.size for buffer in (grower._codes, *grower._channels)] == [n * sum(distinct)] * 3
+    assert [codes.shape for _, codes, *_ in grower._blocks] == [(columns, n) for columns in distinct]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_expanded_histograms_equal_binning_every_column(data):
+    X = data.draw(integer_matrices())
+    n, d = X.shape
+    ks = data.draw(prefix_groups(d))
+    binned = BinnedMatrix(X)
+    bm = binned.prefix(max(ks))
+    grower = NewtonGrower(binned, ks, 3, 1.0, 1)
+    # each model's rows sit in up to three open nodes or in none (-1), as at a deeper level; slots in model order
+    slot_model, slot_rows = [], []
+    for m in range(len(ks)):
+        node_of = np.array(data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)))
+        for node in np.unique(node_of[node_of >= 0]):
+            slot_model.append(m)
+            slot_rows.append(np.flatnonzero(node_of == node))
+    n_slots = len(slot_model)
+    order = np.concatenate([np.zeros(0, dtype=np.int64), *(m * n + rows for m, rows in zip(slot_model, slot_rows))])
+    grower._fill_codes(order, np.repeat(np.arange(n_slots), [len(rows) for rows in slot_rows]), n_slots)
+    index = grower._expansion(np.array(slot_model, dtype=np.int64))
+    # signed weights over 16 orders of magnitude, so a sum in another order would differ in its last bits
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (2, len(ks), n)
+    w = rng.choice([-1.0, 1.0], shape) * rng.random(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    for m, (_, _, *channels) in enumerate(grower._blocks):
+        for channel, channel_w in zip(channels, w):
+            channel[...] = channel_w[m]
+    # the full layout binned as before: one element per (model, column < k, row), slot n_slots outside the nodes
+    slot = np.full((len(ks), n), n_slots)
+    for s, (m, rows) in enumerate(zip(slot_model, slot_rows)):
+        slot[m, rows] = s
+    codes = np.concatenate([(slot[m] * bm.n_bins + bm.flat_codes[:, :k].T).ravel() for m, k in enumerate(ks)])
+    for channel, channel_w in [(None, None), *zip(grower._channels, w)]:
+        weights = None if channel_w is None else np.concatenate([np.tile(channel_w[m], k) for m, k in enumerate(ks)])
+        sums = np.bincount(codes, weights=weights, minlength=(n_slots + 1) * bm.n_bins)[: n_slots * bm.n_bins]
+        sums = sums.reshape(n_slots, bm.n_bins)
+        cum = np.concatenate((np.zeros((n_slots, 1), dtype=sums.dtype), np.cumsum(sums, axis=1)), axis=1)
+        expanded, left = grower._bin_sums(grower._codes, index, channel)
+        assert expanded.dtype == sums.dtype and expanded.tobytes() == sums.tobytes()
+        assert left.tobytes() == (cum[:, 1:] - cum[:, bm.seg_start]).tobytes()
 
 
 def test_group_fit_rejects_bad_inputs():
@@ -366,6 +467,22 @@ def test_oracle_tie_break_prefers_lowest_feature_then_threshold():
     g = np.array([[-1.0, 1.0, 1.0, -1.0]])
     (tree,) = grow_round(NewtonGrower(BinnedMatrix(X[:, :1]), (1,), 1, 1.0, 1), g, h, np.empty((1, 4)))
     assert tree.threshold[0] == 0.5
+
+
+def test_a_repeat_that_wins_by_rounding_keeps_its_own_threshold():
+    # column 1 copies column 0 and column 2 is 3 * column 0 + 1, so all three bin alike; column 2's left sums pass
+    # through two more columns' cumulative sums, round differently and win, with its own midpoint between 1 and 7
+    X = np.array([[0, 0, 2, 0], [0, 0, 2, 0], [1, 1, 7, 1]]).T
+    g = np.array([-899721.9964768499, -520.9928936085666, 96.41656243805137, -0.0009113511925484873])
+    h = np.array([1.7870875242943551, 0.8684860921764801, 0.000999501739191368, 9.109405383601612])
+    ks = (1, 3)
+    row_values = np.empty((len(ks), 4))
+    trees = grow_round(NewtonGrower(BinnedMatrix(X), ks, 1, 1.0, 1), np.stack([g, g]), np.stack([h, h]), row_values)
+    assert [(tree.feature[0], tree.threshold[0]) for tree in trees] == [(0, 1.0), (2, 4.0)]
+    for tree, model_values, k in zip(trees, row_values, ks):
+        expected_values = np.empty(4)
+        assert nodes_from_tree(tree) == grow_regression_tree(BinnedMatrix(X[:, :k]), g, h, 1, 1.0, expected_values)
+        assert np.array_equal(model_values, expected_values)
 
 
 @settings(max_examples=300, deadline=None)
