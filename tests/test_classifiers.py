@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,6 +11,7 @@ from fbcsurv.classifiers import (
     ModelFamily,
     TrainedModel,
     decision_tree_dump,
+    fit_group,
     fit_model,
     predict,
 )
@@ -382,6 +384,45 @@ def test_fit_determinism_and_json_roundtrip(family, tmp_path):
         loaded = TrainedModel.load(path)
         assert json.dumps(loaded.to_dict(), sort_keys=True) == s1
         assert np.array_equal(predict(loaded, X), predict(m1, X))
+
+
+# per family, the sha256 of `TrainedModel.save`'s bytes for the roundtrip matrix fit (a 100-round GBT model),
+# the smallest fit, and every model of a group fit over prefixes 1, 3 and 6 of the matrix plus a column 3 * y, which
+# gives the k=6 AdaBoost model a perfect first stump, so it stops after one of its group's 50 rounds
+SAVED_SHA256 = {
+    DT: (
+        "1ac10c741bab4ac1e5d996f24dd9727299e2c6e65c8c29c6deab64c2e57b4c8b",
+        "ba29c25fd8b04d8e17f3ba3264af61a5bc821ecde3b6a6b3faed05f9eb2a8893",
+        "c8eb68f4b04d5a210337922409501206f6b01a27f8659744d688c19a8a3711df",
+    ),
+    ADA: (
+        "69c749e9b89f9ff93964e2e8e8b31f02fa19b84d568dbf52a116e90a740a671f",
+        "cba68c900608c709e323461712c38e3a7c8c34bcef4d4944c380f3108953f811",
+        "44c739bfc1e2dbf8d80b57273f22ffb01b88f49a8cba67c8cf29b74e4f49b56a",
+    ),
+    GBT: (
+        "6b9b6894fa3300dcccb50c15ef6365dd9027a2938b69af1e8cffd4e32b2ffb50",
+        "3be6c3688ace4f7154ac98de2490d8e770a887e3b523c14356f83e8c5f5bf931",
+        "60e937cfa0471ebc26f654c767396b764c3f17bff86a6f921bb62151ab046b82",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_saved_bytes_are_pinned(family, tmp_path):
+    rng = np.random.default_rng(43)
+    X = rng.integers(0, 5, size=(60, 5))
+    y = rng.integers(0, 2, size=60)
+    names = tuple(f"f{j}" for j in range(6))
+    group, _ = fit_group(family, BinnedMatrix(np.column_stack((X, 3 * y))), y, HP, (1, 3, 6), names)
+    fits = (fit_model(family, X, y, HP), fit_model(family, *SMALLEST_FITS[family]), *group)
+    digests = []
+    for model in fits:
+        model.save(tmp_path / "model.json")
+        digests.append(hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest())
+    kept = {DT: [1] * 4, ADA: [50, 50, 50, 1], GBT: [100] * 4}[family]
+    assert [len(model.model.weights) for model in (fits[0], *group)] == kept
+    assert (*digests[:2], hashlib.sha256("".join(digests[2:]).encode()).hexdigest()) == SAVED_SHA256[family]
 
 
 def _edited(params, name, index, value):
