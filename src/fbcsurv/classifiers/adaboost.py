@@ -1,9 +1,9 @@
 """Discrete AdaBoost (SAMME, two classes) over decision stumps: depth-1 flat trees, or a single leaf.
 
-An AdaBoost model is a `TreeEnsemble` whose trees are the kept stumps, each
-leaf holding its class's vote (-1.0 or +1.0), and whose weights are their
-alphas. Its start score is 0.0, except that a model with no stump scores its
-training majority class, 1.0 or 0.0.
+An AdaBoost model is a `TreeEnsemble` whose node columns hold the first
+len(weights) stumps its group grew, each leaf holding its class's vote (-1.0
+or +1.0), and whose weights are their alphas. Its start score is 0.0, except
+that a model with no stump scores its training majority class, 1.0 or 0.0.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def fit_adaboost_ensembles(
     with its class per training row, from the scores `decision_scores` adds.
     """
     n = len(y)
-    ensembles = [TreeEnsemble(0.0, [], []) for _ in ks]
+    diagnostics = [([], [], []) for _ in ks]
     w = [np.full(n, 1.0 / n, dtype=np.float64) for _ in ks]
     scores = np.zeros((len(ks), n), dtype=np.float64)
     votes = np.empty((len(ks), n), dtype=np.float64)
@@ -42,26 +42,27 @@ def fit_adaboost_ensembles(
             break
         grower.grow(w, votes)
         for m in list(boosting):
-            ensemble = ensembles[m]
+            alphas, errors, sums = diagnostics[m]
             miss = (votes[m] > 0) != y
             err = float(w[m][miss].sum())
             if err >= 0.5:
                 boosting.remove(m)
                 continue
             alpha = math.log((1.0 - err) / err) if err > 0.0 else math.log((1.0 - _EPS) / _EPS)
-            ensemble.weighted_errors.append(err)
-            ensemble.weights.append(alpha)
+            errors.append(err)
+            alphas.append(alpha)
             scores[m] += alpha * votes[m]
             if err > 0.0:
                 w[m] = w[m] * np.exp(alpha * miss)
                 w[m] = w[m] / w[m].sum()
-            ensemble.weight_sums.append(float(w[m].sum()))
+            sums.append(float(w[m].sum()))
             if err <= 0.0:
                 boosting.remove(m)
     majority = float(int(y.sum()) * 2 > n)
-    for ensemble, stumps, model_scores in zip(ensembles, grower.trees(), scores):
-        ensemble.trees = stumps[: len(ensemble.weights)]
-        if not ensemble.trees:
-            ensemble.init_score = majority
+    ensembles = []
+    for (nodes, starts), (alphas, errors, sums), model_scores in zip(grower.trees(), diagnostics, scores):
+        if not alphas:
             model_scores += majority
+        kept = (alphas, nodes[: starts[len(alphas)]], starts[: len(alphas) + 1])
+        ensembles.append(TreeEnsemble(0.0 if alphas else majority, *kept, weighted_errors=errors, weight_sums=sums))
     return list(zip(ensembles, (scores > 0).astype(np.int64)))

@@ -1,12 +1,12 @@
 """Newton-style gradient boosting with logistic loss (the XGBoost-family stand-in).
 
-Each round fits a depth-limited regression tree (a flat `Tree` whose leaf
-payload is the weight) to the per-row gradients and hessians of the logistic
-loss; leaf weights carry an L2 penalty. No row or column subsampling, so fits
-are fully deterministic. Models that train on prefixes of one binned matrix
-are boosted in lockstep, one tree level of every model at a time; each model
-comes out as if it had been boosted alone: a `TreeEnsemble` that starts at
-the log-odds prior and weighs every tree by the learning rate.
+Each round fits a depth-limited regression tree, whose leaf payload is the
+weight, to the per-row gradients and hessians of the logistic loss; leaf
+weights carry an L2 penalty. No row or column subsampling, so fits are fully
+deterministic. Models on prefixes of one binned matrix are boosted in
+lockstep, one tree level of every model at a time; each comes out as if
+boosted alone: a `TreeEnsemble` from the log-odds prior whose node columns
+hold one tree per round, each weighed by the learning rate.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def fit_gbt_ensembles(
         scores = scores + learning_rate * row_values
         losses.append(_mean_logistic_loss(scores, y_f))
     ensembles = [
-        TreeEnsemble(init, [learning_rate] * rounds, trees, train_losses=model_losses)
-        for trees, model_losses in zip(grower.trees(), np.transpose(losses).tolist())
+        TreeEnsemble(init, [learning_rate] * rounds, nodes, starts, train_losses=model_losses)
+        for (nodes, starts), model_losses in zip(grower.trees(), np.transpose(losses).tolist())
     ]
     return list(zip(ensembles, (scores > 0).astype(np.int64)))

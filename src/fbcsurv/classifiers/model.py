@@ -86,7 +86,7 @@ class TrainedModel:
         family = ModelFamily(d["family"])
         feature_names = tuple(d["feature_names"])
         model = TreeEnsemble.from_dict(d["params"], len(feature_names))
-        if family is ModelFamily.DECISION_TREE and (len(model.trees) != 1 or model.trees[0].n1 is None):
+        if family is ModelFamily.DECISION_TREE and (len(model.weights) != 1 or model.nodes.n1 is None):
             raise ValueError("a decision tree needs n1 and exactly one tree")
         return cls(family=family, feature_names=feature_names, model=model)
 
@@ -135,7 +135,7 @@ def fit_group(
         fits = fit_gbt_ensembles(binned, ks, y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2)
     elif family is ModelFamily.DECISION_TREE:
         trees = GiniGrower(binned, ks, y, hp.tree_max_depth, hp.tree_min_leaf).grow()
-        fits = [(TreeEnsemble(0.0, [1.0], [tree]), classes) for tree, classes in trees]
+        fits = [(TreeEnsemble(0.0, [1.0], nodes, starts), classes) for (nodes, starts), classes in trees]
     else:
         fits = fit_adaboost_ensembles(binned, ks, y, hp.ada_rounds)
     models = [TrainedModel(family, tuple(names[:k]), model) for k, (model, _) in zip(ks, fits)]
@@ -177,4 +177,4 @@ def predict(model: TrainedModel, X: np.ndarray, columns: tuple[str, ...] | None 
 def decision_tree_dump(model: TrainedModel) -> str:
     if model.family is not ModelFamily.DECISION_TREE:
         raise ValueError("tree dump is only defined for decision-tree models")
-    return model.model.trees[0].dump(model.feature_names)
+    return model.model.nodes.dump(model.feature_names)

@@ -1,8 +1,9 @@
-"""The flat array tree every model family shares, the one model built from such trees, the one
+"""The flat node columns every model family shares, the one model built from them, the one
 level-wise grower, and the prediction walk.
 
 Every family's model is a `TreeEnsemble`: a start score plus weighted tree
-leaf values, with class = score > 0. `LevelGrower` grows the trees of all
+leaf values, with class = score > 0, its trees kept as the grower records
+them, in one `Tree` of node columns. `LevelGrower` grows the trees of all
 three families, for a group of models at once, one histogram pass per tree
 level; `GiniGrower` (CART), `StumpGrower` (AdaBoost) and `NewtonGrower` (GBT)
 supply each family's totals, gain, acceptance rule and node values. Ties
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +45,7 @@ def _is_finite_number(value) -> bool:
 
 @dataclass(eq=False, slots=True)
 class Tree:
-    """A binary tree as parallel per-node arrays; node 0 is the root.
+    """A binary tree as parallel per-node arrays; node 0 is the root. A `TreeEnsemble`'s `nodes` hold many trees.
 
     An inner node sends a row to `left` when X[row, feature] <= threshold and
     to `right` otherwise. A leaf has feature, left and right -1. `value` is
@@ -63,6 +63,10 @@ class Tree:
     n: np.ndarray
     n1: np.ndarray | None = None
 
+    def __getitem__(self, nodes: slice) -> "Tree":
+        """The nodes in a slice, as views of these columns."""
+        return Tree(*(None if column is None else column[nodes] for column in map(self.__getattribute__, _ARRAYS)))
+
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in _ARRAYS if getattr(self, name) is not None}
 
@@ -71,9 +75,11 @@ class Tree:
         """A tree from per-node lists, as `to_dict` writes them, over n_features columns.
 
         Raises ValueError unless the arrays have one length, every leaf has
-        left = right = -1, and every inner node splits on a feature below
+        left = right = -1, every inner node splits on a feature below
         n_features and has both children after it in the arrays, so every
-        walk from the root ends in a leaf.
+        walk from the root ends in a leaf, every threshold and value is
+        finite, and every node counts n >= 1 rows, n1 of them of class 1,
+        with 0 <= n1 <= n.
         """
         if not isinstance(d, dict):
             raise ValueError("a tree must be a JSON object of per-node arrays")
@@ -81,7 +87,7 @@ class Tree:
             raise ValueError(f"a tree needs the arrays {list(_ARRAYS)[:6]}, optionally n1; got {sorted(d)}")
         try:
             tree = cls(**{name: np.asarray(values, dtype=_ARRAYS[name]) for name, values in d.items()})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"a tree array holds a value of the wrong type: {exc}") from None
         size = len(tree.feature)
         if size == 0 or any(getattr(tree, name).shape != (size,) for name in d):
@@ -95,6 +101,10 @@ class Tree:
         children = np.stack((tree.left[inner], tree.right[inner]))
         if ((children <= inner) | (children >= size)).any():
             raise ValueError("an inner node's children must lie after it and inside the tree's arrays")
+        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+            raise ValueError("a tree's thresholds and values must be finite numbers")
+        if (tree.n < 1).any() or (tree.n1 is not None and ((tree.n1 < 0) | (tree.n1 > tree.n)).any()):
+            raise ValueError("a node's row count n must be >= 1, and its class-1 count n1 must lie in 0..n")
         return tree
 
     def dump(self, feature_names: tuple[str, ...]) -> str:
@@ -120,26 +130,48 @@ class Tree:
 class TreeEnsemble:
     """The one model of every family: a start score plus weighted tree leaf values.
 
-    A row's score is init_score plus weights[t] times its leaf value in
-    trees[t], added tree by tree in fit order; its class is score > 0. A CART
-    model is one tree of class leaves with weight 1.0; an AdaBoost model
-    weighs its stumps' votes by their alphas; a GBT model starts at the
-    log-odds prior and weighs every tree by the learning rate.
+    Tree t is nodes[starts[t]:starts[t + 1]], its children numbered within
+    it, as it is saved. A row's score is init_score plus weights[t] times its
+    leaf value in tree t, added tree by tree in fit order; its class is score
+    > 0. A CART model is one tree of class leaves with weight 1.0; an
+    AdaBoost model weighs its stumps' votes by their alphas; a GBT model
+    starts at the log-odds prior and weighs every tree by the learning rate.
     """
 
     init_score: float
     weights: list[float]
-    trees: list[Tree]
+    nodes: Tree
+    starts: np.ndarray
     # training diagnostics, recorded during fit and never saved; empty where a family has none:
     # GBT's mean loss after 0, 1, ..., n rounds, AdaBoost's weighted error and weight sum per round
     train_losses: list[float] = field(default_factory=list)
     weighted_errors: list[float] = field(default_factory=list)
     weight_sums: list[float] = field(default_factory=list)
 
+    @property
+    def trees(self) -> list[Tree]:
+        """Each tree, as views of `nodes`."""
+        return [self.nodes[start:end] for start, end in itertools.pairwise(self.starts.tolist())]
+
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
+        """Every row's score. The trees walk their node columns together, a root per tree, in chunks of at most
+        _WALK_PAIRS (tree, row) pairs: one vectorised step per level of a chunk's deepest tree. A row at an inner
+        node moves to the child that X[row, feature] <= threshold selects, and a row at a leaf stays there.
+        """
+        nodes, roots = self.nodes, self.starts[:-1]
+        inner = nodes.feature >= 0
+        shift = np.repeat(roots, np.diff(self.starts))
+        # a leaf's feature -1 reads the last column, and both of its branches lead back to it
+        left, right = (np.where(inner, child + shift, np.arange(len(inner))) for child in (nodes.left, nodes.right))
         scores = np.full(len(X), self.init_score, dtype=np.float64)
-        for weight, values in zip(self.weights, predict_trees(self.trees, X)):
-            scores += weight * values
+        rows = np.arange(len(X))
+        step = max(1, _WALK_PAIRS // max(len(X), 1))
+        for first in range(0, len(roots), step):
+            at = np.repeat(roots[first : first + step, np.newaxis], len(X), axis=1)
+            while inner[at].any():
+                at = np.where(X[rows, nodes.feature[at]] <= nodes.threshold[at], left[at], right[at])
+            for weight, values in zip(self.weights[first : first + step], nodes.value[at]):
+                scores += weight * values
         return scores
 
     def to_dict(self) -> dict:
@@ -150,8 +182,8 @@ class TreeEnsemble:
         """A model as `to_dict` writes it, over n_features columns; each tree is checked by `Tree.from_dict`.
 
         Raises ValueError unless d has exactly the keys init_score, weights
-        and trees, init_score is a finite number, and weights holds one
-        finite number per tree.
+        and trees, init_score is a finite number, weights holds one finite
+        number per tree, and either every tree keeps n1 or none does.
         """
         if not isinstance(d, dict) or sorted(d) != sorted(_ENSEMBLE_KEYS):
             raise ValueError(f"a model's params need exactly the keys {list(_ENSEMBLE_KEYS)}")
@@ -163,36 +195,12 @@ class TreeEnsemble:
         if not all(map(_is_finite_number, weights)):
             raise ValueError("a model's weights must be finite numbers")
         trees = [Tree.from_dict(tree, n_features) for tree in trees]
-        return cls(float(d["init_score"]), [float(weight) for weight in weights], trees)
-
-
-def predict_trees(trees: list[Tree], X: np.ndarray) -> Iterator[np.ndarray]:
-    """Leaf payload of every row of X, yielded tree by tree.
-
-    Trees walk together, as one array tree with a root per tree, in chunks of
-    at most _WALK_PAIRS (tree, row) pairs: one vectorised step per level of a
-    chunk's deepest tree. A row at an inner node moves to the child that
-    X[row, feature] <= threshold selects, and a row at a leaf stays there.
-    """
-    step = max(1, _WALK_PAIRS // max(len(X), 1))
-    for chunk in (trees[i : i + step] for i in range(0, len(trees), step)):
-        sizes = [len(tree.feature) for tree in chunk]
-        roots = np.cumsum([0] + sizes[:-1])
-        feature, threshold, left, right, value = (
-            np.concatenate([getattr(tree, name) for tree in chunk])
-            for name in ("feature", "threshold", "left", "right", "value")
-        )
-        inner = feature >= 0
-        nodes = np.arange(len(feature))
-        shift = np.repeat(roots, sizes)
-        # a leaf's feature -1 reads the last column, and both of its branches lead back to it
-        left = np.where(inner, left + shift, nodes)
-        right = np.where(inner, right + shift, nodes)
-        rows = np.arange(len(X))
-        at = np.repeat(roots, len(X)).reshape(len(chunk), len(X))
-        while inner[at].any():
-            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
-        yield from value[at]
+        if len({tree.n1 is None for tree in trees}) > 1:
+            raise ValueError("either every tree of a model keeps n1 or none does")
+        names = [name for name in _ARRAYS if name != "n1" or (trees and trees[0].n1 is not None)]
+        nodes = Tree(*(np.concatenate([np.empty(0, _ARRAYS[c])] + [getattr(t, c) for t in trees]) for c in names))
+        starts = np.cumsum([0] + [len(tree.feature) for tree in trees])
+        return cls(float(d["init_score"]), [float(weight) for weight in weights], nodes, starts)
 
 
 def segment_sums(values: np.ndarray, bounds: list[int]) -> np.ndarray:
@@ -403,18 +411,17 @@ class LevelGrower:
             # stable partition of each node's pairs: left child first, then right
             order = order[np.argsort(child.astype(np.min_scalar_type(2 * n_split)), kind="stable")]
 
-    def trees(self) -> list[list[Tree]]:
-        """The grown trees, per model one tree per round. This ends the fit: the grower frees its buffers first.
+    def trees(self) -> list[tuple[Tree, np.ndarray]]:
+        """Per model, its trees' nodes in fit order, as views, and each tree's start among them, then their end.
 
-        A tree's nodes are numbered breadth first, so its k-th split node
-        (from 0) has children 2k + 1 and 2k + 2.
+        This ends the fit: the grower frees its buffers first. A tree's nodes are numbered breadth first, so its
+        k-th split node (from 0) has children 2k + 1 and 2k + 2.
         """
         records, count = self._records, self._n_records
         self._codes = self._channels = self._root_codes = self._blocks = self._records = None
-        if not count:
-            return [[] for _ in range(self.n_models)]
         tree_of, *columns = (column[:count] for column in records.values())
-        # each tree's nodes, level after level, gathered in place one column at a time
+        # model-major: each model's trees in fit order, each tree's nodes level after level, gathered in place
+        tree_of = tree_of % self.n_models * self._rounds + tree_of // self.n_models
         by_tree = np.argsort(tree_of, kind="stable")
         for column in columns:
             column[...] = column[by_tree]
@@ -431,12 +438,12 @@ class LevelGrower:
         left += 1
         right = left + 1
         left[~split] = right[~split] = -1
-        starts = starts.tolist()
-        trees = [
-            Tree(*(a[start:end] for a in (feature, threshold, left, right, value, n_rows, *kept)))
-            for start, end in zip(starts, starts[1:])
+        nodes = Tree(feature, threshold, left, right, value, n_rows, *kept)
+        bounds = starts[np.arange(self.n_models + 1) * self._rounds].tolist()
+        return [
+            (nodes[start:end], starts[m * self._rounds : (m + 1) * self._rounds + 1] - start)
+            for m, (start, end) in enumerate(itertools.pairwise(bounds))
         ]
-        return [trees[m :: self.n_models] for m in range(self.n_models)]
 
 
 class NewtonGrower(LevelGrower):
@@ -511,11 +518,11 @@ class GiniGrower(LevelGrower):
         self.y = y
         self.min_leaf = min_leaf
 
-    def grow(self) -> list[tuple[Tree, np.ndarray]]:
-        """Each model's tree and its class for every training row."""
+    def grow(self) -> list[tuple[tuple[Tree, np.ndarray], np.ndarray]]:
+        """Each model's tree, as `trees` gives it, and its class for every training row."""
         classes = np.empty((self.n_models, self.bm.n))
         self._grow(([self.y.astype(np.float64)] * self.n_models,), classes)
-        return [(trees[0], model_classes) for trees, model_classes in zip(self.trees(), classes.astype(np.int64))]
+        return list(zip(self.trees(), classes.astype(np.int64)))
 
     def _nodes(self, depth, order, bounds, sizes, split_level):
         n1 = np.add.reduceat(self.y[order % self.bm.n], bounds[:-1])

@@ -41,6 +41,11 @@ DEFAULT_RANGE_JITTER: dict[Measure, tuple[float, float, float, float]] = {
 DEFAULT_AGE_DISTRIBUTION: dict[int, float] = {3: 0.02, 4: 0.05, 5: 0.13, 6: 0.30, 7: 0.30, 8: 0.15, 9: 0.05}
 
 
+# the most patients a cohort may have: the largest count whose patient ids keep six digits (P000001..P999999).
+# `generate` spawns one seed stream per patient before it draws anything, so a count is checked before any allocation.
+MAX_PATIENTS = 999_999
+
+
 def _uniform_per_measure(value: float) -> dict[Measure, float]:
     return {m: value for m in MEASURES}
 
@@ -75,8 +80,8 @@ class GeneratorConfig:
             missing = [m.value for m in MEASURES if m not in getattr(self, name)]
             if missing:
                 raise ValueError(f"{name} needs a value for every measure; {missing} missing")
-        if self.n_patients < 1:
-            raise ValueError("n_patients must be >= 1")
+        if not 1 <= self.n_patients <= MAX_PATIENTS:
+            raise ValueError(f"n_patients must lie in 1..{MAX_PATIENTS}, got {self.n_patients}")
         probs = [self.p_latent_high_risk, self.window_placement_bias, self.sex_ratio, *self.p_death_2y_by_group]
         probs += list(self.p_oor_given_risk.values()) + list(self.p_oor_given_no_risk.values())
         if any(not (0.0 <= p <= 1.0) for p in probs):

@@ -270,7 +270,7 @@ def test_gbt_leaf_value_formula():
     out = np.empty((1, 2))
     grower = NewtonGrower(bm, (1,), max_depth=3, l2=1.0, rounds=1)
     grower.grow(g, h, out)
-    ((tree,),) = grower.trees()
+    ((tree, _),) = grower.trees()
     assert tree.feature.tolist() == [-1]
     assert tree.value[0] == pytest.approx(-2.0 / 3.0, abs=0)
 
@@ -446,6 +446,15 @@ BAD_TREE_EDITS = {
     "without_n1": lambda t: {name: v for name, v in t.items() if name != "n1"},
     "non_numeric": lambda t: _edited(t, "left", 0, "one"),
     "not_an_object": lambda t: list(t.values()),
+    # before these checks, each of the following loaded: a NaN threshold sent every row right, an infinite value
+    # decided every score, a node of no rows dumped p=inf, and a feature beyond int64 raised numpy's OverflowError
+    "nan_threshold": lambda t: _edited(t, "threshold", 0, math.nan),
+    "infinite_value": lambda t: _edited(t, "value", 1, math.inf),
+    "nan_value": lambda t: _edited(t, "value", 2, math.nan),
+    "node_without_rows": lambda t: _edited(t, "n", 1, 0),
+    "negative_class_count": lambda t: _edited(t, "n1", 1, -1),
+    "class_count_above_rows": lambda t: _edited(t, "n1", 2, t["n"][2] + 1),
+    "feature_beyond_int64": lambda t: _edited(t, "feature", 0, 2**63),
 }
 
 
@@ -478,6 +487,10 @@ BAD_ENSEMBLE_EDITS = {
     "nan_weight_in_gbt": (GBT, lambda p: {**p, "weights": [math.nan] + p["weights"][1:]}),
     "weights_not_a_list": (GBT, lambda p: {**p, "weights": 0.1}),
     "unknown_key": (GBT, lambda p: {**p, "learning_rate": 0.1}),
+    "nan_threshold_in_gbt": (GBT, lambda p: {**p, "trees": [_edited(p["trees"][0], "threshold", 0, math.nan)] + p["trees"][1:]}),
+    "infinite_leaf_in_gbt": (GBT, lambda p: {**p, "trees": p["trees"][:1] + [_edited(p["trees"][1], "value", 1, math.inf)]}),
+    # every tree of a model keeps n1, or none does, so the model's trees share one set of node columns
+    "one_gbt_tree_with_n1": (GBT, lambda p: {**p, "trees": [{**p["trees"][0], "n1": [0] * len(p["trees"][0]["n"])}] + p["trees"][1:]}),
     "decision_tree_with_two_trees": (DT, lambda p: {**p, "weights": [1.0, 1.0], "trees": p["trees"] * 2}),
     "decision_tree_without_a_tree": (DT, lambda p: {**p, "weights": [], "trees": []}),
 }

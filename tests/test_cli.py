@@ -61,6 +61,15 @@ def test_synth_flag_overrides(tmp_path):
     assert config["window_placement_bias"] == 0.9
 
 
+@pytest.mark.parametrize("n", ["0", "1000000", "100000000000000000000"])
+def test_synth_rejects_a_patient_count_out_of_range(tmp_path, capsys, n):
+    # a huge count used to start spawning one seed stream per patient instead of failing
+    code, _, err = run(capsys, "synth", "--n", n, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err == f"error: n_patients must lie in 1..999999, got {n}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_ingest_reports_filters(cohort_dir, tmp_path, capsys):
     out = tmp_path / "ingested"
     code, stdout, _ = run(capsys, "ingest", "--in", str(cohort_dir), "--out", str(out))
@@ -451,11 +460,12 @@ def test_malformed_meta_names_the_file(tmp_path, capsys, meta_text, problem):
         ('{"bogus": 1}\n', "unknown generator config keys ['bogus']"),
         ("[1, 2]\n", "a generator config must be a JSON object, got list"),
         ('{"n_patients": "ten"}\n', "n_patients must be an integer, got 'ten'"),
+        ('{"n_patients": 1000000}\n', "n_patients must lie in 1..999999, got 1000000"),
         ("nope\n", "Expecting value: line 1 column 1 (char 0)"),
         ('{"p_oor_given_risk": {"MCV": 0.3}}\n', "p_oor_given_risk needs a value for every measure; "
          "['PLATELETS', 'MCH', 'MCHC', 'RDW'] missing"),
     ],
-    ids=["unknown_key", "not_an_object", "string_count", "invalid_json", "missing_measure"],
+    ids=["unknown_key", "not_an_object", "string_count", "too_many_patients", "invalid_json", "missing_measure"],
 )
 def test_synth_rejects_a_malformed_config(tmp_path, capsys, config_text, problem):
     # each of these used to end in a TypeError traceback, or, for invalid JSON, an error without the file name

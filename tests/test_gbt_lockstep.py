@@ -61,7 +61,7 @@ def assert_same_trees(trees, references, votes=False):
 def grow_round(grower, g, h, row_values):
     """One round's trees, one per model."""
     grower.grow(g, h, row_values)
-    return [trees[0] for trees in grower.trees()]
+    return [nodes for nodes, _ in grower.trees()]
 
 
 @st.composite
@@ -225,9 +225,9 @@ def test_lockstep_stumps_match_best_stump_for_arbitrary_weights(data):
     grower = StumpGrower(BinnedMatrix(X), ks, y, 1)
     votes = np.empty((len(ks), n))
     grower.grow(w, votes)
-    for stumps, model_votes, model_w, k in zip(grower.trees(), votes, w, ks):
+    for (nodes, _), model_votes, model_w, k in zip(grower.trees(), votes, w, ks):
         stump, _, expected_classes = best_stump(BinnedMatrix(X[:, :k]), y, model_w)
-        assert_same_trees(stumps, [stump], votes=True)
+        assert_same_trees([nodes], [stump], votes=True)
         assert np.array_equal(model_votes, 2.0 * expected_classes - 1.0)
 
 

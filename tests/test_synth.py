@@ -16,6 +16,7 @@ from fbcsurv.cohort import (
 from fbcsurv.labeling import Group, assign_group
 from fbcsurv.synth import (
     DATA_END_DATE,
+    MAX_PATIENTS,
     GeneratorConfig,
     generate,
     read_generator_config,
@@ -119,6 +120,11 @@ def test_config_validation():
         GeneratorConfig(range_jitter={**GeneratorConfig().range_jitter, Measure.MCV: (80, 75, 98, 100)}).validate()
     with pytest.raises(ValueError, match="n_patients"):
         generate(GeneratorConfig(n_patients=0))
+    # the upper bound is checked by validation only: no cohort is generated at a large count
+    for n in (0, MAX_PATIENTS + 1, 10**20):
+        with pytest.raises(ValueError, match=f"^n_patients must lie in 1..{MAX_PATIENTS}, got {n}$"):
+            GeneratorConfig(n_patients=n).validate()
+    GeneratorConfig(n_patients=MAX_PATIENTS).validate()
 
 
 def test_config_json_roundtrip(tmp_path):

@@ -1,9 +1,12 @@
 """The flat trees' vectorised prediction against the per-node reference walk."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fbcsurv.classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_model, predict
+from fbcsurv.classifiers import tree
 
 import tree_reference
 
@@ -38,6 +41,24 @@ def test_flat_prediction_matches_per_node_walk(data):
         # the reference scores an AdaBoost model without stumps by its fallback class only
         if family is ModelFamily.GBT or (family is ModelFamily.ADABOOST and model.model.trees):
             assert np.array_equal(model.model.decision_scores(rows), tree_reference.decision_scores(model, rows, hp))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_prediction_walks_split_mid_model_match_per_node_walk(data):
+    # with a walk of at most 1..7 (tree, row) pairs, every model of several trees is scored over several chunks
+    family = data.draw(st.sampled_from([ModelFamily.ADABOOST, ModelFamily.GBT]))
+    # a first column no stump can fit perfectly, so AdaBoost keeps more stumps than a chunk holds
+    X = np.column_stack((np.arange(30) % 7, _matrix(data, 30, 2, 0, 6)))
+    y = np.arange(30) % 2
+    X_test = _matrix(data, data.draw(st.integers(1, 9)), 3, -1, 7)
+    hp = Hyperparameters(ada_rounds=12, gbt_rounds=12, gbt_depth=data.draw(st.integers(1, 3)))
+    model = fit_model(family, X, y, hp)
+    assert len(model.model.weights) > 7
+    with mock.patch.object(tree, "_WALK_PAIRS", data.draw(st.integers(1, 7))):
+        for rows in (X, X_test):
+            assert np.array_equal(model.model.decision_scores(rows), tree_reference.decision_scores(model, rows, hp))
+            assert np.array_equal(predict(model, rows), tree_reference.predict(model, rows, hp, y))
 
 
 def test_adaboost_without_stumps_predicts_the_training_majority():
