@@ -16,7 +16,7 @@ limit.
 from __future__ import annotations
 
 import itertools
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +39,14 @@ _ENSEMBLE_KEYS = ("init_score", "weights", "trees")
 
 
 def _is_finite_number(value) -> bool:
-    """True for a finite int or float; False for a bool, a string, None, NaN or an infinity."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite int or float; False for a bool, a string, None, NaN, an infinity or an int beyond float."""
+    # int and float compare exactly, so a huge int is compared, not converted
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _is_int64(value) -> bool:
+    """True for an int in int64's range; False for a bool, a float, a string or None."""
+    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
 
 
 @dataclass(eq=False, slots=True)
@@ -74,21 +80,22 @@ class Tree:
     def from_dict(cls, d: dict, n_features: int) -> "Tree":
         """A tree from per-node lists, as `to_dict` writes them, over n_features columns.
 
-        Raises ValueError unless the arrays have one length, every leaf has
-        left = right = -1, every inner node splits on a feature below
-        n_features and has both children after it in the arrays, so every
-        walk from the root ends in a leaf, every threshold and value is
-        finite, and every node counts n >= 1 rows, n1 of them of class 1,
-        with 0 <= n1 <= n.
+        Raises ValueError unless every array is a list, of finite numbers
+        (threshold, value) or of int64 integers (the rest), the arrays have
+        one length, every leaf has left = right = -1, every inner node splits
+        on a feature below n_features and has both children after it in the
+        arrays, so every walk from the root ends in a leaf, and every node
+        counts n >= 1 rows, n1 of them of class 1, with 0 <= n1 <= n.
         """
         if not isinstance(d, dict):
             raise ValueError("a tree must be a JSON object of per-node arrays")
         if not set(_ARRAYS) - {"n1"} <= set(d) <= set(_ARRAYS):
             raise ValueError(f"a tree needs the arrays {list(_ARRAYS)[:6]}, optionally n1; got {sorted(d)}")
-        try:
-            tree = cls(**{name: np.asarray(values, dtype=_ARRAYS[name]) for name, values in d.items()})
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"a tree array holds a value of the wrong type: {exc}") from None
+        for name, values in d.items():
+            integers = _ARRAYS[name] is np.int64
+            if not (isinstance(values, list) and all(map(_is_int64 if integers else _is_finite_number, values))):
+                raise ValueError(f"a tree's {name} must list {'int64 integers' if integers else 'finite numbers'}")
+        tree = cls(**{name: np.asarray(values, dtype=_ARRAYS[name]) for name, values in d.items()})
         size = len(tree.feature)
         if size == 0 or any(getattr(tree, name).shape != (size,) for name in d):
             raise ValueError("a tree's per-node arrays must be non-empty lists of one length")
@@ -101,8 +108,6 @@ class Tree:
         children = np.stack((tree.left[inner], tree.right[inner]))
         if ((children <= inner) | (children >= size)).any():
             raise ValueError("an inner node's children must lie after it and inside the tree's arrays")
-        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
-            raise ValueError("a tree's thresholds and values must be finite numbers")
         if (tree.n < 1).any() or (tree.n1 is not None and ((tree.n1 < 0) | (tree.n1 > tree.n)).any()):
             raise ValueError("a node's row count n must be >= 1, and its class-1 count n1 must lie in 0..n")
         return tree

@@ -447,7 +447,8 @@ BAD_TREE_EDITS = {
     "non_numeric": lambda t: _edited(t, "left", 0, "one"),
     "not_an_object": lambda t: list(t.values()),
     # before these checks, each of the following loaded: a NaN threshold sent every row right, an infinite value
-    # decided every score, a node of no rows dumped p=inf, and a feature beyond int64 raised numpy's OverflowError
+    # decided every score, a node of no rows dumped p=inf, a fractional child or a string feature was cast to an
+    # integer and a bool to a number; a feature beyond int64 or a value beyond float raised an OverflowError
     "nan_threshold": lambda t: _edited(t, "threshold", 0, math.nan),
     "infinite_value": lambda t: _edited(t, "value", 1, math.inf),
     "nan_value": lambda t: _edited(t, "value", 2, math.nan),
@@ -455,6 +456,10 @@ BAD_TREE_EDITS = {
     "negative_class_count": lambda t: _edited(t, "n1", 1, -1),
     "class_count_above_rows": lambda t: _edited(t, "n1", 2, t["n"][2] + 1),
     "feature_beyond_int64": lambda t: _edited(t, "feature", 0, 2**63),
+    "value_beyond_float": lambda t: _edited(t, "value", 1, 10**400),
+    "fractional_child": lambda t: _edited(t, "left", 0, 1.5),
+    "string_feature": lambda t: _edited(t, "feature", 0, "0"),
+    "bool_threshold": lambda t: _edited(t, "threshold", 0, True),
 }
 
 
@@ -485,6 +490,8 @@ BAD_ENSEMBLE_EDITS = {
     "missing_trees": (GBT, lambda p: {name: v for name, v in p.items() if name != "trees"}),
     "missing_weight": (GBT, lambda p: {**p, "weights": p["weights"][:-1]}),
     "nan_weight_in_gbt": (GBT, lambda p: {**p, "weights": [math.nan] + p["weights"][1:]}),
+    "weight_beyond_float": (GBT, lambda p: {**p, "weights": [10**400] + p["weights"][1:]}),
+    "init_score_beyond_float": (GBT, lambda p: {**p, "init_score": -(10**400)}),
     "weights_not_a_list": (GBT, lambda p: {**p, "weights": 0.1}),
     "unknown_key": (GBT, lambda p: {**p, "learning_rate": 0.1}),
     "nan_threshold_in_gbt": (GBT, lambda p: {**p, "trees": [_edited(p["trees"][0], "threshold", 0, math.nan)] + p["trees"][1:]}),

@@ -3,7 +3,7 @@
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fbcsurv.classifiers import MODEL_FAMILIES, Hyperparameters, ModelFamily, fit_model, predict
 from fbcsurv.classifiers import tree
@@ -48,13 +48,13 @@ def test_flat_prediction_matches_per_node_walk(data):
 def test_prediction_walks_split_mid_model_match_per_node_walk(data):
     # with a walk of at most 1..7 (tree, row) pairs, every model of several trees is scored over several chunks
     family = data.draw(st.sampled_from([ModelFamily.ADABOOST, ModelFamily.GBT]))
-    # a first column no stump can fit perfectly, so AdaBoost keeps more stumps than a chunk holds
+    # a first column no stump can fit perfectly, so AdaBoost mostly keeps more stumps than a chunk holds
     X = np.column_stack((np.arange(30) % 7, _matrix(data, 30, 2, 0, 6)))
     y = np.arange(30) % 2
     X_test = _matrix(data, data.draw(st.integers(1, 9)), 3, -1, 7)
     hp = Hyperparameters(ada_rounds=12, gbt_rounds=12, gbt_depth=data.draw(st.integers(1, 3)))
     model = fit_model(family, X, y, hp)
-    assert len(model.model.weights) > 7
+    assume(len(model.model.weights) > 7)
     with mock.patch.object(tree, "_WALK_PAIRS", data.draw(st.integers(1, 7))):
         for rows in (X, X_test):
             assert np.array_equal(model.model.decision_scores(rows), tree_reference.decision_scores(model, rows, hp))
