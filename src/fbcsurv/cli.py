@@ -8,7 +8,6 @@ byte-identical outputs; all randomness derives from --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
@@ -38,6 +37,7 @@ from .labeling import FAR_DAYS_DEFAULT, DiagnosisWindow, Version, label_cohort, 
 from .ranges import SOFT_MARGIN_DEFAULT
 from .selection import select_top_k, write_ranking_csv
 from .synth import GeneratorConfig, generate, read_generator_config, write_generator_config
+from .tables import write_json
 
 
 def _parse_window(text: str) -> DiagnosisWindow:
@@ -73,9 +73,7 @@ def _echo_config(args, cohort: Cohort | None = None, **effective) -> None:
     if "window_close" in args:
         payload["window_close"] = [args.window_close.start_offset_days, args.window_close.end_offset_days]
     payload.update({name: getattr(args, name) for name in ("window_far_days", "soft_margin") if name in args})
-    with open(out / "config.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json(out / "config.json", payload)
 
 
 def _load_cohort(args) -> Cohort:

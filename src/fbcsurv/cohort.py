@@ -25,7 +25,6 @@ instead of serialising them again.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -38,12 +37,12 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .tables import csv_rows
+from .tables import csv_rows, write_csv, write_json
 
 FOLLOW_UP_DAYS = 730  # "2 years" fixed as 730 days; deterministic boundary
 
@@ -326,9 +325,7 @@ class FilterReport:
         return dataclasses.asdict(self)
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def died_within_follow_up(diagnosis, death):
@@ -549,6 +546,12 @@ def ingest_cohort(patients_file: str | Path, observations_file: str | Path, data
     )
 
 
+def _reads_back(pid: str) -> bool:
+    """Whether a written patient_id parses back as itself: non-empty, unpadded (the parser strips fields) and free of
+    carriage returns (csv.writer leaves one unquoted, which splits the row)."""
+    return bool(pid) and pid == pid.strip() and "\r" not in pid
+
+
 def write_cohort(cohort: Cohort, out_dir: str | Path, *, source: str | Path | None = None) -> None:
     """Write patients.csv, observations.csv, meta.json and the cohort.npz sidecar for a cohort.
 
@@ -560,12 +563,10 @@ def write_cohort(cohort: Cohort, out_dir: str | Path, *, source: str | Path | No
     either way, the sidecar hashing the CSVs now in `out_dir`.
 
     Raises ValueError, before any file is opened, for a patient_id that the
-    parser cannot read back as itself: an empty one, one with leading or
-    trailing whitespace (the parser strips fields) and one holding a carriage
-    return (csv.writer leaves it unquoted, so it splits the row).
+    parser cannot read back as itself (see `_reads_back`).
     """
     for pid in cohort.patient_ids:
-        if not pid or pid != pid.strip() or "\r" in pid:
+        if not _reads_back(pid):
             raise ValueError(f"patient_id {pid!r} would not read back: it is empty, padded or holds a carriage return")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -578,44 +579,24 @@ def write_cohort(cohort: Cohort, out_dir: str | Path, *, source: str | Path | No
                 pass  # writing a cohort back into the directory it was read from
     else:
         _serialise_csvs(cohort, out)
-    with open(out / "meta.json", "w") as fh:
-        json.dump({"data_end_date": cohort.data_end_date.isoformat()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "meta.json", {"data_end_date": cohort.data_end_date.isoformat()})
     if arrays is not None:
         _write_sidecar(arrays, out)
 
 
 def _serialise_csvs(cohort: Cohort, out: Path) -> None:
     iso = functools.cache(lambda day: date.fromordinal(day).isoformat())
-    with open(out / "patients.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PATIENTS_COLUMNS)
-        writer.writerows(
-            zip(
-                cohort.patient_ids,
-                cohort.sex.tolist(),
-                cohort.age.tolist(),
-                map(iso, cohort.diagnosis.tolist()),
-                ("" if day == NO_DEATH else iso(day) for day in cohort.death.tolist()),
-            )
-        )
+    death = ("" if day == NO_DEATH else iso(day) for day in cohort.death.tolist())
+    demographics = (cohort.sex.tolist(), cohort.age.tolist(), map(iso, cohort.diagnosis.tolist()), death)
+    write_csv(out / "patients.csv", PATIENTS_COLUMNS, zip(cohort.patient_ids, *demographics))
     names = [m.value for m in MEASURES]
-    with open(out / "observations.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OBSERVATIONS_COLUMNS)
-        # one patient's slice at a time, so the Python values of the whole buffer never exist at once
-        for pid, o in zip(cohort.patient_ids, cohort.observations.split(cohort.counts)):
-            # .tolist() gives Python floats, whose repr is the shortest round-trip text
-            writer.writerows(
-                zip(
-                    repeat(pid),
-                    map(names.__getitem__, o.measure.tolist()),
-                    map(repr, o.value.tolist()),
-                    map(iso, o.day.tolist()),
-                    map(repr, o.ref_low.tolist()),
-                    map(repr, o.ref_high.tolist()),
-                )
-            )
+    # one patient's slice at a time, so the Python values of the whole buffer never exist at once
+    rows = chain.from_iterable(
+        zip(repeat(pid), map(names.__getitem__, o.measure.tolist()), o.value.tolist(), map(iso, o.day.tolist()),
+            o.ref_low.tolist(), o.ref_high.tolist())
+        for pid, o in zip(cohort.patient_ids, cohort.observations.split(cohort.counts))
+    )
+    write_csv(out / "observations.csv", OBSERVATIONS_COLUMNS, rows)
 
 
 def _sha256(path: Path) -> str:
@@ -725,8 +706,7 @@ def _load_sidecar(in_dir: Path, data_end_date: date) -> Cohort | None:
     ):
         return None
     ids = tuple(ids.tolist())
-    # the parser strips fields, and csv.writer leaves a carriage return unquoted, which splits the row
-    if len(set(ids)) != n or not all(pid and pid == pid.strip() and "\r" not in pid for pid in ids):
+    if len(set(ids)) != n or not all(map(_reads_back, ids)):
         return None
     return Cohort(
         patient_ids=ids, sex=sex, age=age, diagnosis=diagnosis, death=death, counts=counts,

@@ -8,7 +8,6 @@ training rows only, inside each fold.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from .labeling import (
 )
 from .ranges import SOFT_MARGIN_DEFAULT
 from .selection import rank_features
+from .tables import write_csv
 
 N_FOLDS = 10
 # a fold fits each family's models for consecutive k together while n_train * sum(k) stays within this many elements.
@@ -380,38 +380,20 @@ def feature_consistency(report: EvaluationReport) -> ConsistencyReport:
 
 
 def write_results_csv(report: EvaluationReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["version", "model", "k", "fold", "accuracy", "sensitivity", "specificity"])
-        for rec in report.records:
-            writer.writerow(
-                [rec.version, rec.model, rec.k, rec.fold, repr(rec.accuracy), repr(rec.sensitivity), repr(rec.specificity)]
-            )
+    rows = ([r.version, r.model, r.k, r.fold, r.accuracy, r.sensitivity, r.specificity] for r in report.records)
+    write_csv(path, ["version", "model", "k", "fold", "accuracy", "sensitivity", "specificity"], rows)
 
 
 def write_summary_csv(report: EvaluationReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["version", "model", "k", "mean_accuracy", "std"])
-        for version, model, k, mean, std in report.summary():
-            writer.writerow([version, model, k, repr(mean), repr(std)])
+    write_csv(path, ["version", "model", "k", "mean_accuracy", "std"], report.summary())
 
 
 def write_consistency_csv(report: EvaluationReport, path: str | Path) -> None:
-    consistency = feature_consistency(report)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "k", "selection_fraction"])
-        for k in report.k_values:
-            for feature in sorted(consistency.fractions[k]):
-                writer.writerow([feature, k, repr(consistency.fractions[k][feature])])
+    fractions = feature_consistency(report).fractions
+    rows = ([feature, k, fractions[k][feature]] for k in report.k_values for feature in sorted(fractions[k]))
+    write_csv(path, ["feature", "k", "selection_fraction"], rows)
 
 
 def write_stats_csv(rows: list[StatsRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stratum", "measure", "group", "n_patients", "n_deceased", "pct_deceased"])
-        for row in rows:
-            writer.writerow(
-                [row.stratum, row.measure, row.group, row.n_patients, row.n_deceased, repr(row.pct_deceased)]
-            )
+    cells = ([r.stratum, r.measure, r.group, r.n_patients, r.n_deceased, r.pct_deceased] for r in rows)
+    write_csv(path, ["stratum", "measure", "group", "n_patients", "n_deceased", "pct_deceased"], cells)

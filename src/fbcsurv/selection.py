@@ -8,13 +8,13 @@ uses the raw statistic with ties broken by column name so folds reproduce.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .features import FeatureMatrix
+from .tables import write_csv
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,5 @@ def select_top_k(matrix: FeatureMatrix, k: int, rows: np.ndarray | None = None) 
 
 def write_ranking_csv(ranking: FeatureRanking, path: str | Path) -> None:
     """ranking.csv: rank, column_name, chi2 of the selected prefix."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "column_name", "chi2"])
-        for rank, (name, stat) in enumerate(ranking.entries[: ranking.k], start=1):
-            writer.writerow([rank, name, repr(stat)])
+    rows = ((rank, name, stat) for rank, (name, stat) in enumerate(ranking.entries[: ranking.k], start=1))
+    write_csv(path, ["rank", "column_name", "chi2"], rows)

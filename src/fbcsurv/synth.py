@@ -21,6 +21,7 @@ import numpy as np
 
 from .cohort import MEASURE_CODE, MEASURES, NO_DEATH, Cohort, Measure, Observations, Sex, patient_columns
 from .labeling import DEFAULT_WINDOW, Group, history_groups
+from .tables import write_json
 
 EXTRACT_START = date(2008, 1, 1)
 DIAGNOSIS_SPAN_DAYS = 2922  # diagnoses spread over 8 years
@@ -229,9 +230,7 @@ def generate(config: GeneratorConfig) -> Cohort:
 
 
 def write_generator_config(config: GeneratorConfig, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config.to_dict())
 
 
 def read_generator_config(path: str | Path) -> GeneratorConfig:

@@ -1,18 +1,24 @@
-"""Text codec of the integer CSV tables, features.csv and labels.csv, and the row reader of every CSV input.
+"""The text of every output file except saved models, and the row reader of every CSV input.
 
-A line of such a table is one or two text fields (a patient id, a measure
-name) followed by integer cells. `write_table` formats each distinct value of
-a block of rows once and writes the block as joined lines; `parse_digit_cells`
-parses comma-separated ASCII digits in one numpy pass. Both keep the bytes
-and values of `csv.writer` and `int()` on the text they accept, and neither
-builds a Python object per cell of the whole table, so peak memory stays near
-the size of the integer array itself. `csv_rows` is every per-row CSV parser's reader.
+`write_csv` writes every CSV output in one dialect, csv.writer's with "\\n"
+line ends; `write_json` writes every JSON side file indented by 2, keys
+sorted, with a final newline. The integer tables, features.csv and
+labels.csv, have their own codec. A line of such a table is one or two text
+fields (a patient id, a measure name) followed by integer cells.
+`write_table` formats each distinct value of a block of rows once and writes
+the block as joined lines; `parse_digit_cells` parses comma-separated ASCII
+digits in one numpy pass. Both keep the bytes and values of `csv.writer` and
+`int()` on the text they accept, and neither builds a Python object per cell
+of the whole table, so peak memory stays near the size of the integer array
+itself. `csv_rows` is every per-row CSV parser's reader.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import json
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
@@ -27,6 +33,8 @@ BLOCK_CELLS = 1 << 15
 _MAY_NEED_QUOTES = re.compile('[,"\r\n]')
 _DIGITS_AND_COMMAS = b"0123456789,"
 _INT64_MAX = np.iinfo(np.int64).max
+# the one CSV dialect of every output: csv.writer's excel dialect with "\n" line ends
+_writer = functools.partial(csv.writer, lineterminator="\n")
 
 
 def csv_field(value) -> str:
@@ -34,8 +42,23 @@ def csv_field(value) -> str:
     if isinstance(value, str) and not _MAY_NEED_QUOTES.search(value):
         return value
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    _writer(buf).writerow([value, ""])
     return buf.getvalue()[: -len(",\n")]
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write `header`, then each row as `rows` yields it; a float cell is its repr, the shortest round-trip text."""
+    with open(path, "w", newline="") as fh:
+        writer = _writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write `payload` as JSON, indented by 2, keys sorted, with a final newline; a date or other value is its str."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 def csv_rows(lines: Iterable[str], path: str | Path) -> Iterator[list[str]]:
@@ -60,7 +83,7 @@ def write_table(path: str | Path, header: Sequence[str], prefixes: Iterable[str]
     step = max(1, BLOCK_CELLS // max(sum(block.shape[1] for block in blocks), 1))
     prefixes = iter(prefixes)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        _writer(fh).writerow(header)
         for start in range(0, n_rows, step):
             rows = np.hstack([block[start : start + step] for block in blocks])
             low, high = int(rows.min()), int(rows.max())

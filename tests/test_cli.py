@@ -11,6 +11,7 @@ import pytest
 
 import fbcsurv.cohort
 import fbcsurv.evaluation
+import fbcsurv.tables
 from fbcsurv.classifiers import Hyperparameters
 from fbcsurv.classifiers.model import MAX_ROUNDS
 from fbcsurv.cli import build_parser, main
@@ -368,7 +369,7 @@ def test_ingest_copies_the_csvs_its_input_sidecar_proves(cohort_dir, tmp_path, m
 
     ingested = tmp_path / "ingested"
     with monkeypatch.context() as patch:
-        patch.setattr(fbcsurv.cohort.csv, "writer", no_writer)
+        patch.setattr(fbcsurv.tables.csv, "writer", no_writer)
         assert main(["ingest", "--in", str(cohort_dir), "--out", str(ingested)]) == 0
     assert csv_bytes(ingested) == csv_bytes(cohort_dir) == serialised_bytes(cohort_dir, tmp_path / "fresh")
     assert_sidecar_trusted(ingested, monkeypatch)
