@@ -30,6 +30,7 @@ class ModelFamily(Enum):
 
 
 MODEL_FAMILIES = tuple(ModelFamily)
+_MODEL_KEYS = ("family", "feature_names", "params")
 
 
 # the most boosting rounds a model may take: a grower allocates its node records for every round up front
@@ -82,7 +83,17 @@ class TrainedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedModel":
-        """A model as `to_dict` writes it; a malformed one is a ValueError (see `TreeEnsemble.from_dict`)."""
+        """A model as `to_dict` writes it; a malformed one is a ValueError (see `TreeEnsemble.from_dict`).
+
+        d must have exactly the keys family, feature_names and params, and
+        feature_names must list strings; a name may repeat, as `fit_model` allows.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"a saved model must be a JSON object, got {type(d).__name__}")
+        if set(d) != set(_MODEL_KEYS):
+            raise ValueError(f"a saved model needs exactly the keys {list(_MODEL_KEYS)}, got {sorted(map(str, d))}")
+        if not (isinstance(d["feature_names"], list) and all(isinstance(name, str) for name in d["feature_names"])):
+            raise ValueError("a saved model's feature_names must be a list of strings")
         family = ModelFamily(d["family"])
         feature_names = tuple(d["feature_names"])
         model = TreeEnsemble.from_dict(d["params"], len(feature_names))

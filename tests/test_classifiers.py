@@ -514,6 +514,37 @@ def test_load_rejects_malformed_ensembles():
             TrainedModel.from_dict({**saved[family], "params": edit(saved[family]["params"])})
 
 
+# name -> edit of a saved one-column decision tree. Before these checks a missing key was a KeyError and a
+# non-object a TypeError, an unknown key was ignored, and a string or a list of numbers as feature_names loaded
+# as ("x",) or (1,).
+BAD_MODEL_EDITS = {
+    "not_an_object": lambda m: list(m.items()),
+    "missing_family": lambda m: {name: v for name, v in m.items() if name != "family"},
+    "missing_feature_names": lambda m: {name: v for name, v in m.items() if name != "feature_names"},
+    "missing_params": lambda m: {name: v for name, v in m.items() if name != "params"},
+    "unknown_key": lambda m: {**m, "version": 1},
+    "names_a_string": lambda m: {**m, "feature_names": "x"},
+    "names_numbers": lambda m: {**m, "feature_names": [1]},
+    "names_null": lambda m: {**m, "feature_names": None},
+    "names_an_object": lambda m: {**m, "feature_names": {"x": 0}},
+}
+
+
+@pytest.mark.parametrize("edit", BAD_MODEL_EDITS)
+def test_load_rejects_malformed_model_envelopes(edit):
+    X, y = _separable_1d()
+    saved = fit_model(DT, X, y, Hyperparameters(tree_min_leaf=1)).to_dict()
+    assert TrainedModel.from_dict(saved).feature_names == ("f0",)
+    with pytest.raises(ValueError):
+        TrainedModel.from_dict(BAD_MODEL_EDITS[edit](saved))
+
+
+def test_load_keeps_repeated_feature_names():
+    X, y = _separable_1d()
+    model = fit_model(DT, np.hstack([X, X]), y, Hyperparameters(tree_min_leaf=1), feature_names=("a", "a"))
+    assert TrainedModel.from_dict(json.loads(json.dumps(model.to_dict()))).feature_names == ("a", "a")
+
+
 def test_unbounded_tree_deeper_than_the_recursion_limit_saves_and_dumps(tmp_path):
     # every split peels off one row: a chain of 1,199 splits
     X = np.arange(1200).reshape(-1, 1)
