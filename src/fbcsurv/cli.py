@@ -77,7 +77,12 @@ def _echo_config(args, cohort: Cohort | None = None, **effective) -> None:
 
 
 def _load_cohort(args) -> Cohort:
-    end = date.fromisoformat(args.data_end_date) if args.data_end_date else None
+    end = None
+    if args.data_end_date:
+        try:
+            end = date.fromisoformat(args.data_end_date)
+        except ValueError as exc:
+            raise ValueError(f"--data-end-date must be a YYYY-MM-DD date, got {args.data_end_date!r}: {exc}") from None
     return read_cohort(args.in_dir, data_end_date=end)
 
 
@@ -176,13 +181,16 @@ _SYNTH_OVERRIDES = {
 
 
 def _cmd_synth(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = read_generator_config(args.config) if args.config else GeneratorConfig()
     overrides = {name: getattr(args, dest) for dest, name in _SYNTH_OVERRIDES.items() if getattr(args, dest) is not None}
     if args.p_death is not None:
-        parts = tuple(float(v) for v in args.p_death.split(","))
-        if len(parts) != 3:
-            raise ValueError("--p-death needs three comma-separated probabilities")
-        overrides["p_death_2y_by_group"] = parts
+        try:
+            g1, g2, g3 = map(float, args.p_death.split(","))
+        except ValueError:  # a value that is not a number, or not three values
+            raise ValueError(f"--p-death needs three comma-separated probabilities, got {args.p_death!r}") from None
+        overrides["p_death_2y_by_group"] = (g1, g2, g3)
     if args.p_oor_risk is not None:
         overrides["p_oor_given_risk"] = dict.fromkeys(config.p_oor_given_risk, args.p_oor_risk)
     if args.p_oor_norisk is not None:
@@ -271,6 +279,8 @@ def _cmd_select(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     cohort = _load_cohort(args)
     filtered, report = apply_inclusion_filters(cohort)
     if not len(filtered):

@@ -81,6 +81,8 @@ class GeneratorConfig:
             missing = [m.value for m in MEASURES if m not in getattr(self, name)]
             if missing:
                 raise ValueError(f"{name} needs a value for every measure; {missing} missing")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.n_patients <= MAX_PATIENTS:
             raise ValueError(f"n_patients must lie in 1..{MAX_PATIENTS}, got {self.n_patients}")
         probs = [self.p_latent_high_risk, self.window_placement_bias, self.sex_ratio, *self.p_death_2y_by_group]

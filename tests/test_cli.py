@@ -9,6 +9,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+import fbcsurv.cli
 import fbcsurv.cohort
 import fbcsurv.evaluation
 import fbcsurv.tables
@@ -465,8 +466,10 @@ def test_malformed_meta_names_the_file(tmp_path, capsys, meta_text, problem):
         ("nope\n", "Expecting value: line 1 column 1 (char 0)"),
         ('{"p_oor_given_risk": {"MCV": 0.3}}\n', "p_oor_given_risk needs a value for every measure; "
          "['PLATELETS', 'MCH', 'MCHC', 'RDW'] missing"),
+        ('{"seed": -1}\n', "seed must be >= 0, got -1"),
     ],
-    ids=["unknown_key", "not_an_object", "string_count", "too_many_patients", "invalid_json", "missing_measure"],
+    ids=["unknown_key", "not_an_object", "string_count", "too_many_patients", "invalid_json", "missing_measure",
+         "negative_seed"],
 )
 def test_synth_rejects_a_malformed_config(tmp_path, capsys, config_text, problem):
     # each of these used to end in a TypeError traceback, or, for invalid JSON, an error without the file name
@@ -479,6 +482,31 @@ def test_synth_rejects_a_malformed_config(tmp_path, capsys, config_text, problem
 
 
 FAST_EVALUATE = ["--versions", "v1", "--k-min", "5", "--k-max", "5", "--ada-rounds", "5", "--gbt-rounds", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stats", "--data-end-date", "garbage"], "--data-end-date must be a YYYY-MM-DD date, got 'garbage': "
+         "Invalid isoformat string: 'garbage'"),
+        (["label", "--data-end-date", "2018-13-01"], "--data-end-date must be a YYYY-MM-DD date, got '2018-13-01': "
+         "month must be in 1..12"),
+        (["synth", "--p-death", "0.1,x,0.3"], "--p-death needs three comma-separated probabilities, got '0.1,x,0.3'"),
+        (["synth", "--p-death", "0.1,0.3"], "--p-death needs three comma-separated probabilities, got '0.1,0.3'"),
+        (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["evaluate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ],
+    ids=["unparsable_date", "month_13", "p_death_not_a_number", "p_death_two_values", "synth_seed", "evaluate_seed"],
+)
+def test_a_bad_flag_value_names_the_flag(cohort_dir, tmp_path, capsys, monkeypatch, argv, message):
+    # each of these used to print only the parser's or numpy's message, naming no flag; evaluate failed only
+    # after it had read and labeled the cohort
+    monkeypatch.setattr(fbcsurv.cli, "read_cohort", lambda *args, **kwargs: pytest.fail("the cohort was read"))
+    command, *flags = argv
+    inputs = [] if command == "synth" else ["--in", str(cohort_dir)]
+    code, _, err = run(capsys, command, *inputs, "--out", str(tmp_path / "o"), *flags)
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["stats", "label", "features", "evaluate"])

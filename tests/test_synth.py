@@ -125,6 +125,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"^n_patients must lie in 1..{MAX_PATIENTS}, got {n}$"):
             GeneratorConfig(n_patients=n).validate()
     GeneratorConfig(n_patients=MAX_PATIENTS).validate()
+    # a negative seed used to fail only in numpy's SeedSequence, with "expected non-negative integer"
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        generate(GeneratorConfig(n_patients=5, seed=-1))
+    GeneratorConfig(seed=0).validate()
 
 
 def test_config_json_roundtrip(tmp_path):
