@@ -69,7 +69,7 @@ def _echo_config(args, cohort: Cohort | None = None, **effective) -> None:
     out = Path(args.out)
     payload = {"command": args.command, "out": str(out), **effective}
     if cohort is not None:
-        payload.update({"in": args.in_dir, "data_end_date": cohort.data_end_date})
+        payload.update({"in": args.in_dir, "data_end_date": cohort.data_end_date.isoformat()})
     if "window_close" in args:
         payload["window_close"] = [args.window_close.start_offset_days, args.window_close.end_offset_days]
     payload.update({name: getattr(args, name) for name in ("window_far_days", "soft_margin") if name in args})

@@ -1,22 +1,19 @@
 """The text of every output file except saved models, and the row reader of every CSV input.
 
-`write_csv` writes every CSV output in one dialect, csv.writer's with "\\n"
-line ends; `write_json` writes every JSON side file indented by 2, keys
-sorted, with a final newline. The integer tables, features.csv and
-labels.csv, have their own codec. A line of such a table is one or two text
-fields (a patient id, a measure name) followed by integer cells.
-`write_table` formats each distinct value of a block of rows once and writes
-the block as joined lines; `parse_digit_cells` parses comma-separated ASCII
-digits in one numpy pass. Both keep the bytes and values of `csv.writer` and
-`int()` on the text they accept, and neither builds a Python object per cell
-of the whole table, so peak memory stays near the size of the integer array
-itself. `csv_rows` is every per-row CSV parser's reader.
+`write_csv` and `write_json` give every CSV output and every JSON side file
+one layout each. The integer tables, features.csv and labels.csv, have their
+own codec: a line is one or two text fields (a patient id, a measure name)
+followed by integer cells. `write_table` formats each distinct value of a
+block of rows once and writes the block as joined lines; `parse_digit_cells`
+parses comma-separated ASCII digits in one numpy pass. Both keep the bytes
+and values of `csv.writer` and `int()` on the text they accept, and neither
+builds a Python object per cell of the whole table, so peak memory stays near
+the size of the integer array itself. `csv_rows` is every per-row CSV parser's reader.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import re
@@ -33,8 +30,11 @@ BLOCK_CELLS = 1 << 15
 _MAY_NEED_QUOTES = re.compile('[,"\r\n]')
 _DIGITS_AND_COMMAS = b"0123456789,"
 _INT64_MAX = np.iinfo(np.int64).max
-# the one CSV dialect of every output: csv.writer's excel dialect with "\n" line ends
-_writer = functools.partial(csv.writer, lineterminator="\n")
+
+
+def _writer(fh):
+    """The one CSV dialect of every output: csv.writer's excel dialect with "\\n" line ends."""
+    return csv.writer(fh, lineterminator="\n")
 
 
 def csv_field(value) -> str:
@@ -55,9 +55,9 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable])
 
 
 def write_json(path: str | Path, payload) -> None:
-    """Write `payload` as JSON, indented by 2, keys sorted, with a final newline; a date or other value is its str."""
+    """Write `payload` as JSON, indented by 2, keys sorted, and a final newline; a value JSON cannot hold is a TypeError."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
