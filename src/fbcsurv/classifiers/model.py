@@ -1,10 +1,11 @@
-"""The one fit dispatch and predict contract over the three model families, and the saved-model JSON.
+"""The one fit entry point and predict contract over the three model families, and the saved-model JSON.
 
 Every family's model is a `TreeEnsemble`, so scoring, saving and loading do
 not depend on the family: a model saves as `{"family", "feature_names",
 "params"}` with `params = {"init_score", "weights", "trees"}`. The family
-only picks the fit and, at load, requires a decision tree to be one tree
-that keeps `n1`, the class-1 counts its dump reads.
+only picks its grower class, whose `fit` grows the models, and, at load,
+requires a decision tree to be one tree that keeps `n1`, the class-1 counts
+its dump reads.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaboost import fit_adaboost_ensembles
-from .gbt import fit_gbt_ensembles
 from .splits import BinnedMatrix
-from .tree import GiniGrower, TreeEnsemble
+from .tree import GiniGrower, NewtonGrower, StumpGrower, TreeEnsemble
 
 
 class ModelFamily(Enum):
@@ -30,6 +29,8 @@ class ModelFamily(Enum):
 
 
 MODEL_FAMILIES = tuple(ModelFamily)
+# each family's grower class, whose classmethod `fit` grows a group of its models
+_GROWERS = {ModelFamily.DECISION_TREE: GiniGrower, ModelFamily.ADABOOST: StumpGrower, ModelFamily.GBT: NewtonGrower}
 _MODEL_KEYS = ("family", "feature_names", "params")
 
 
@@ -141,16 +142,8 @@ def fit_group(
         raise ValueError(f"column prefixes {ks} must lie in 1..{binned.d}")
     if len(names) < max(ks):
         raise ValueError("feature_names must name every column the largest k uses")
-    y = y.astype(np.int64)
-    if family is ModelFamily.GBT:
-        fits = fit_gbt_ensembles(binned, ks, y, hp.gbt_rounds, hp.gbt_depth, hp.gbt_learning_rate, hp.gbt_l2)
-    elif family is ModelFamily.DECISION_TREE:
-        trees = GiniGrower(binned, ks, y, hp.tree_max_depth, hp.tree_min_leaf).grow()
-        fits = [(TreeEnsemble(0.0, [1.0], nodes, starts), classes) for (nodes, starts), classes in trees]
-    else:
-        fits = fit_adaboost_ensembles(binned, ks, y, hp.ada_rounds)
-    models = [TrainedModel(family, tuple(names[:k]), model) for k, (model, _) in zip(ks, fits)]
-    return models, np.array([classes for _, classes in fits])
+    ensembles, classes = _GROWERS[family].fit(binned, ks, y.astype(np.int64), hp)
+    return [TrainedModel(family, tuple(names[:k]), model) for k, model in zip(ks, ensembles)], classes
 
 
 def fit_model(

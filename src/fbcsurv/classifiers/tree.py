@@ -1,27 +1,33 @@
 """The flat node columns every model family shares, the one model built from them, the one
-level-wise grower, and the prediction walk.
+level-wise grower, each family's grower and fit, and the prediction walk.
 
 Every family's model is a `TreeEnsemble`: a start score plus weighted tree
 leaf values, with class = score > 0, its trees kept as the grower records
 them, in one `Tree` of node columns. `LevelGrower` grows the trees of all
 three families, for a group of models at once, one histogram pass per tree
-level; `GiniGrower` (CART), `StumpGrower` (AdaBoost) and `NewtonGrower` (GBT)
-supply each family's totals, gain, acceptance rule and node values. Ties
-during split search are broken deterministically: lowest feature index
-first, then lowest threshold. Growth, prediction, serialisation and the dump
-are iterative, so unbounded-depth trees cannot hit the interpreter recursion
-limit.
+level. Each family is one subclass holding its rules and its fit:
+`GiniGrower` (CART), `StumpGrower` (AdaBoost) and `NewtonGrower` (GBT) supply
+the family's totals, gain, acceptance rule and node values, and their `fit`
+runs the family's rounds. Ties during split search are broken
+deterministically: lowest feature index first, then lowest threshold.
+Growth, prediction, serialisation and the dump are iterative, so
+unbounded-depth trees cannot hit the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .splits import BinnedMatrix
+
+if TYPE_CHECKING:
+    from .model import Hyperparameters
 
 # (tree, row) pairs a prediction walk holds at once, so its temporaries stay small
 _WALK_PAIRS = 1 << 14
@@ -36,6 +42,9 @@ _ARRAYS = {
     "n1": np.int64,
 }
 _ENSEMBLE_KEYS = ("init_score", "weights", "trees")
+# AdaBoost's error floor for a perfect stump's alpha; the clamp on GBT's class-1 share for its log-odds prior
+_EPS = 1e-10
+_PRIOR_EPS = 1e-12
 
 
 def _is_finite_number(value) -> bool:
@@ -208,6 +217,10 @@ class TreeEnsemble:
         return cls(float(d["init_score"]), [float(weight) for weight in weights], nodes, starts)
 
 
+# a grower's `fit`: one model per k, and each model's class for every training row, one row per model
+_GroupFit = tuple[list[TreeEnsemble], np.ndarray]
+
+
 def segment_sums(values: np.ndarray, bounds: list[int]) -> np.ndarray:
     """Per segment [bounds[i], bounds[i + 1]) of a C-contiguous (c, N) array: the sum of each row's slice.
 
@@ -236,10 +249,10 @@ class LevelGrower:
     feature, then lowest threshold. A family subclass supplies its weight
     channels and three methods: `_nodes` (each open node's totals, and
     whether it may split), `_gain` (every split's gain and validity, and the
-    floor the best gain must beat; it may overwrite the left sums) and
-    `_payload` (node values, then the `_extras` columns). A grower is sized
-    for `rounds` trees per model of at most max_depth levels below the root
-    (None is unbounded); `trees` ends the fit.
+    floor the best gain must beat) and `_payload` (node values, then the
+    `_extras` columns), plus the classmethod `fit`, which runs the family's
+    rounds. A grower is sized for `rounds` trees per model of at most
+    max_depth levels below the root (None is unbounded); `trees` ends the fit.
     """
 
     # the family's `Tree` columns after value, as `_payload` returns them
@@ -451,18 +464,54 @@ class LevelGrower:
         ]
 
 
-class NewtonGrower(LevelGrower):
-    """Newton regression trees on channels g and h, for a group of models boosted in lockstep.
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
 
-    Node totals G and H are `segment_sums` over the node's rows in ascending
-    order, which equal `ndarray.sum()`, as growing each model alone computes
-    them. A node shallower than max_depth splits on its best second-order
-    gain when that gain is > 0; otherwise it is a leaf of weight -G / (H + l2).
+
+def _mean_logistic_loss(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per model (row of scores): the mean logistic loss over the training rows."""
+    return np.mean(np.logaddexp(0.0, scores) - y * scores, axis=-1)
+
+
+class NewtonGrower(LevelGrower):
+    """GBT: Newton-style gradient boosting with logistic loss (the XGBoost-family stand-in).
+
+    Each round grows a Newton regression tree per model on channels g and h,
+    the per-row gradients and hessians of the logistic loss. Node totals G
+    and H are `segment_sums` over the node's rows in ascending order, which
+    equal `ndarray.sum()`, as growing each model alone computes them. A node
+    shallower than max_depth splits on its best second-order gain when that
+    gain is > 0; otherwise it is a leaf of weight -G / (H + l2), an L2
+    penalty on the leaf weights. No row or column subsampling, so fits are
+    fully deterministic.
     """
 
     def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], max_depth: int, l2: float, rounds: int):
         super().__init__(bm, ks, 2, max_depth, rounds)
         self.l2 = l2
+
+    @classmethod
+    def fit(cls, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, hp: Hyperparameters) -> _GroupFit:
+        """Boost one ensemble per k in lockstep; model i trains on the first ks[i] columns of bm.
+
+        Each equals boosting it alone. The classes come from the final training scores.
+        """
+        rounds, learning_rate = hp.gbt_rounds, hp.gbt_learning_rate
+        y_f = y.astype(np.float64)
+        prior = min(max(float(y_f.mean()), _PRIOR_EPS), 1.0 - _PRIOR_EPS)
+        init = math.log(prior / (1.0 - prior))
+        grower = cls(bm, ks, hp.gbt_depth, hp.gbt_l2, rounds)
+        scores = np.full((len(ks), len(y)), init, dtype=np.float64)
+        row_values = np.empty_like(scores)
+        losses = [_mean_logistic_loss(scores, y_f)]
+        for _ in range(rounds):
+            p = _sigmoid(scores)
+            grower.grow(p - y_f, p * (1.0 - p), row_values)
+            scores = scores + learning_rate * row_values
+            losses.append(_mean_logistic_loss(scores, y_f))
+        trees = zip(grower.trees(), np.transpose(losses).tolist())
+        ensembles = [TreeEnsemble(init, [learning_rate] * rounds, *tree, train_losses=loss) for tree, loss in trees]
+        return ensembles, (scores > 0).astype(np.int64)
 
     def grow(self, g: np.ndarray, h: np.ndarray, row_values: np.ndarray) -> None:
         """Grow one round: a tree per model for (M, n) gradients and hessians; leaf weights go to row_values."""
@@ -475,24 +524,10 @@ class NewtonGrower(LevelGrower):
         return totals, np.full(len(sizes), depth < self.max_depth)
 
     def _gain(self, sizes, totals, left_counts, left_sums, valid):
-        # 0.5 * (lg * lg / (lh + l2) + rg * rg / (rh + l2) - G * G / (H + l2)), each operation in place
-        G = totals[:, :1]
-        H = totals[:, 1:]
-        lg, lh = left_sums
-        l2 = self.l2
+        G, H, (lg, lh), l2 = totals[:, :1], totals[:, 1:], left_sums, self.l2
         with np.errstate(divide="ignore", invalid="ignore"):
-            parent_score = G * G / (H + l2)
-            right = np.subtract(G, lg)
-            right *= right
-            gain = np.subtract(H, lh)
-            gain += l2
-            right /= gain
-            lh += l2
-            np.multiply(lg, lg, out=gain)
-            gain /= lh
-            gain += right
-            gain -= parent_score
-            gain *= 0.5
+            rg = G - lg
+            gain = 0.5 * (lg * lg / (lh + l2) + rg * rg / (H - lh + l2) - G * G / (H + l2))
         return gain, valid, 0.0
 
     def _payload(self, totals, sizes, is_leaf):
@@ -523,11 +558,13 @@ class GiniGrower(LevelGrower):
         self.y = y
         self.min_leaf = min_leaf
 
-    def grow(self) -> list[tuple[tuple[Tree, np.ndarray], np.ndarray]]:
-        """Each model's tree, as `trees` gives it, and its class for every training row."""
-        classes = np.empty((self.n_models, self.bm.n))
-        self._grow(([self.y.astype(np.float64)] * self.n_models,), classes)
-        return list(zip(self.trees(), classes.astype(np.int64)))
+    @classmethod
+    def fit(cls, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, hp: Hyperparameters) -> _GroupFit:
+        """Each model's tree, as a `TreeEnsemble` of one tree of weight 1.0, and its class for every training row."""
+        grower = cls(bm, ks, y, hp.tree_max_depth, hp.tree_min_leaf)
+        classes = np.empty((len(ks), len(y)))
+        grower._grow(([y.astype(np.float64)] * len(ks),), classes)
+        return [TreeEnsemble(0.0, [1.0], nodes, starts) for nodes, starts in grower.trees()], classes.astype(np.int64)
 
     def _nodes(self, depth, order, bounds, sizes, split_level):
         n1 = np.add.reduceat(self.y[order % self.bm.n], bounds[:-1])
@@ -535,39 +572,22 @@ class GiniGrower(LevelGrower):
         return n1, (n1 > 0) & (n1 < sizes) & (sizes >= 2 * self.min_leaf) & (not depth_capped)
 
     def _gain(self, sizes, n1, left_n, left_sums, valid):
-        # parent - (lnf / n) * gini_left - (rnf / n) * gini_right, with gini = 1 - (c0 * c0 + c1 * c1) / (m * m)
-        # for the class counts c0, c1 and size m of each side; each operation in place
+        # gini = 1 - (c0 * c0 + c1 * c1) / (m * m) for the class counts c0, c1 and size m of a node or side
         (l1,) = left_sums
         n = sizes[:, np.newaxis]
         valid = valid & (left_n >= self.min_leaf) & ((n - left_n) >= self.min_leaf)
         n1 = n1[:, np.newaxis].astype(np.float64)
         n0 = n - n1
         parent = 1.0 - (n0 * n0 + n1 * n1) / (n * n)
-        lnf = left_n.astype(np.float64)
-        rnf = n - lnf
+        ln = left_n.astype(np.float64)
+        rn = n - ln
+        l0 = ln - l1
+        r0, r1 = n0 - l0, n1 - l1
         with np.errstate(divide="ignore", invalid="ignore"):
-            gini_left = np.subtract(lnf, l1)  # l0
-            r1 = np.subtract(n1, l1)
-            r0 = np.subtract(n0, gini_left)
-            gini_left *= gini_left
-            l1 *= l1
-            gini_left += l1
-            np.multiply(lnf, lnf, out=l1)
-            gini_left /= l1
-            np.subtract(1.0, gini_left, out=gini_left)
-            r0 *= r0
-            r1 *= r1
-            r0 += r1
-            np.multiply(rnf, rnf, out=r1)
-            r0 /= r1
-            np.subtract(1.0, r0, out=r0)  # gini_right
-            lnf /= n
-            lnf *= gini_left
-            np.subtract(parent, lnf, out=lnf)
-            rnf /= n
-            rnf *= r0
-            lnf -= rnf
-        return lnf, valid, -np.inf
+            gini_left = 1.0 - (l0 * l0 + l1 * l1) / (ln * ln)
+            gini_right = 1.0 - (r0 * r0 + r1 * r1) / (rn * rn)
+            gain = parent - ln / n * gini_left - rn / n * gini_right
+        return gain, valid, -np.inf
 
     def _payload(self, n1, sizes, is_leaf):
         klass = 2 * n1 > sizes
@@ -575,14 +595,16 @@ class GiniGrower(LevelGrower):
 
 
 class StumpGrower(LevelGrower):
-    """AdaBoost decision stumps over channels w1 (w on class-1 rows, else 0) and w, for models boosted in lockstep.
+    """AdaBoost: discrete SAMME with two classes over decision stumps, depth-1 trees or a single leaf.
 
-    The root splits on its minimum weighted error when that error is below
-    the constant stump's; otherwise the stump is a single leaf. Every node's
-    value is the vote of its weighted majority class, +1.0 for class 1 and
-    -1.0 for class 0: the root's from each model's 1-D weight sums, as
-    boosting it alone takes them, the leaves' from the root's histogram at
-    the chosen bin, so a row's vote is its side's without a row partition.
+    Each round grows a stump per model over channels w1 (w on class-1 rows,
+    else 0) and w. The root splits on its minimum weighted error when that
+    error is below the constant stump's; otherwise the stump is a single
+    leaf. Every node's value is the vote of its weighted majority class, +1.0
+    for class 1 and -1.0 for class 0: the root's from each model's 1-D weight
+    sums, as boosting it alone takes them, the leaves' from the root's
+    histogram at the chosen bin, so a row's vote is its side's without a row
+    partition.
     """
 
     _leaves_from_split = True
@@ -590,6 +612,57 @@ class StumpGrower(LevelGrower):
     def __init__(self, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, rounds: int):
         super().__init__(bm, ks, 2, 1, rounds)
         self.class_1 = y == 1
+
+    @classmethod
+    def fit(cls, bm: BinnedMatrix, ks: tuple[int, ...], y: np.ndarray, hp: Hyperparameters) -> _GroupFit:
+        """Boost one ensemble per k in lockstep with SAMME updates (alpha = log((1-err)/err) for 2 classes).
+
+        Model i trains on the first ks[i] columns of bm; one `grow` per round
+        grows every model's stump. A model stops on a perfect stump (kept, its
+        error clamped to eps for a finite alpha) or at a weighted error >=
+        0.5, and then keeps no later stump or diagnostics. Its error and
+        weights are 1-D sums over its own rows, so it equals boosting it
+        alone. Its `TreeEnsemble` weighs the stumps it kept by their alphas
+        from a start score of 0.0, except that a model with no stump scores
+        its training majority class, 1.0 or 0.0. The classes come from the
+        scores `decision_scores` adds.
+        """
+        n, rounds = len(y), hp.ada_rounds
+        diagnostics = [([], [], []) for _ in ks]
+        w = [np.full(n, 1.0 / n, dtype=np.float64) for _ in ks]
+        scores = np.zeros((len(ks), n), dtype=np.float64)
+        votes = np.empty((len(ks), n), dtype=np.float64)
+        grower = cls(bm, ks, y, rounds)
+        boosting = list(range(len(ks)))
+        for _ in range(rounds):
+            if not boosting:
+                break
+            grower.grow(w, votes)
+            for m in list(boosting):
+                alphas, errors, sums = diagnostics[m]
+                miss = (votes[m] > 0) != y  # `_payload` votes +1.0 for class 1
+                err = float(w[m][miss].sum())
+                if err >= 0.5:
+                    boosting.remove(m)
+                    continue
+                alpha = math.log((1.0 - err) / err) if err > 0.0 else math.log((1.0 - _EPS) / _EPS)
+                errors.append(err)
+                alphas.append(alpha)
+                scores[m] += alpha * votes[m]
+                if err > 0.0:
+                    w[m] = w[m] * np.exp(alpha * miss)
+                    w[m] = w[m] / w[m].sum()
+                sums.append(float(w[m].sum()))
+                if err <= 0.0:
+                    boosting.remove(m)
+        majority = float(int(y.sum()) * 2 > n)
+        ensembles = []
+        for (nodes, starts), (alphas, errors, sums), model_scores in zip(grower.trees(), diagnostics, scores):
+            if not alphas:
+                model_scores += majority
+            kept = (alphas, nodes[: starts[len(alphas)]], starts[: len(alphas) + 1])
+            ensembles.append(TreeEnsemble(0.0 if alphas else majority, *kept, weighted_errors=errors, weight_sums=sums))
+        return ensembles, (scores > 0).astype(np.int64)
 
     def grow(self, w: list[np.ndarray], row_votes: np.ndarray) -> None:
         """Grow one round: a stump per model for its row weights w[m]; each row's vote goes to row_votes."""
@@ -609,9 +682,7 @@ class StumpGrower(LevelGrower):
         return children, np.full(len(sizes), False)
 
     def _gain(self, sizes, totals, left_counts, left_sums, valid):
-        lw1, lw = left_sums
-        w1_total = totals[:, :1]
-        w0_total = totals[:, 1:]
+        (lw1, lw), w1_total, w0_total = left_sums, totals[:, :1], totals[:, 1:]
         err = np.minimum(lw - lw1, lw1) + np.minimum(w0_total - (lw - lw1), w1_total - lw1)
         # the first maximum of -err is the first minimum error; it must beat the constant stump's
         return -err, valid, -np.minimum(totals[:, 1], totals[:, 0])

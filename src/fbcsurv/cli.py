@@ -11,7 +11,6 @@ import argparse
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
-from datetime import date
 from pathlib import Path
 
 from .cohort import (
@@ -20,6 +19,7 @@ from .cohort import (
     apply_followup_filter,
     apply_inclusion_filters,
     inclusion_mask,
+    parse_iso_date,
     read_cohort,
     write_cohort,
 )
@@ -80,7 +80,7 @@ def _load_cohort(args) -> Cohort:
     end = None
     if args.data_end_date:
         try:
-            end = date.fromisoformat(args.data_end_date)
+            end = parse_iso_date(args.data_end_date)
         except ValueError as exc:
             raise ValueError(f"--data-end-date must be a YYYY-MM-DD date, got {args.data_end_date!r}: {exc}") from None
     return read_cohort(args.in_dir, data_end_date=end)

@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import zipfile
 from array import array
@@ -382,9 +383,21 @@ def apply_followup_filter(cohort: Cohort) -> Cohort:
 # ---------------------------------------------------------------------------
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_iso_date(raw: str) -> date:
+    """A YYYY-MM-DD date of ASCII digits. Any other text is a ValueError, though `date.fromisoformat` of
+    Python 3.11 and later also reads forms such as 20130918 and 2012-W22-5.
+    """
+    if not _ISO_DATE.fullmatch(raw):
+        raise ValueError(f"Invalid isoformat string: {raw!r}")
+    return date.fromisoformat(raw)
+
+
 def _parse_date(raw: str, file: str, line: int, fieldname: str, problems: list[str]) -> date | None:
     try:
-        return date.fromisoformat(raw)
+        return parse_iso_date(raw)
     except ValueError:
         problems.append(f"{file}:{line}: field '{fieldname}': unparseable date {raw!r}")
         return None
@@ -726,7 +739,7 @@ def _read_data_end_date(meta_path: Path) -> date:
         raise CohortError([f"{meta_path}: missing field 'data_end_date'"])
     raw = meta["data_end_date"]
     try:
-        return date.fromisoformat(raw)
+        return parse_iso_date(raw)
     except (TypeError, ValueError):
         raise CohortError([f"{meta_path}: field 'data_end_date': must be a YYYY-MM-DD date string, got {raw!r}"]) from None
 

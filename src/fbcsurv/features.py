@@ -73,8 +73,6 @@ class FeatureMatrix:
     patient_ids: tuple[str, ...]
     X: np.ndarray  # (n_patients, n_columns) small non-negative ints
     y: np.ndarray  # (n_patients,) 1 = deceased within 2y
-    version: Version
-    extra_version: Version | None = None
 
     def __post_init__(self):
         if self.X.shape != (len(self.patient_ids), len(self.column_names)):
@@ -121,14 +119,7 @@ def build_matrix(
         blocks.append(_scheme_block(per_patient[:, :, VERSION_INDEX[extra_version]], sex_code))
     X = np.hstack(blocks)
     y = died_within_follow_up(cohort.diagnosis, cohort.death).astype(np.int64)
-    return FeatureMatrix(
-        column_names=columns,
-        patient_ids=patient_ids,
-        X=X,
-        y=y,
-        version=version,
-        extra_version=extra_version,
-    )
+    return FeatureMatrix(column_names=columns, patient_ids=patient_ids, X=X, y=y)
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
@@ -141,8 +132,8 @@ def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     )
 
 
-def read_features_csv(path: str | Path, version: Version = Version.V1) -> FeatureMatrix:
-    """Load a features.csv; the version tag is informational for loaded files.
+def read_features_csv(path: str | Path) -> FeatureMatrix:
+    """Load a features.csv.
 
     A row whose field count differs from the header's, a cell that is not an
     integer within int64, a target other than 0 or 1, a repeated column name
@@ -155,7 +146,7 @@ def read_features_csv(path: str | Path, version: Version = Version.V1) -> Featur
     with open(path, newline="") as fh:
         text = fh.read()
     columns, ids, y, X = _parse_canonical(path, text) or _parse_rows(path, text)
-    return FeatureMatrix(column_names=columns, patient_ids=ids, X=X, y=y, version=version)
+    return FeatureMatrix(column_names=columns, patient_ids=ids, X=X, y=y)
 
 
 def _columns(path: str | Path, header: list[str] | None) -> tuple[str, ...]:

@@ -440,9 +440,10 @@ def test_data_end_date_before_an_observation_gives_the_parser_message(cohort_dir
         ("{}\n", "missing field 'data_end_date'"),
         ('{"data_end_date": 20181231}\n', "field 'data_end_date': must be a YYYY-MM-DD date string, got 20181231"),
         ('{"data_end_date": "31/12/2018"}\n', "field 'data_end_date': must be a YYYY-MM-DD date string, got '31/12/2018'"),
+        ('{"data_end_date": "2018-W52-1"}\n', "field 'data_end_date': must be a YYYY-MM-DD date string, got '2018-W52-1'"),
         ("", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
     ],
-    ids=["missing_field", "not_a_string", "bad_date", "invalid_json"],
+    ids=["missing_field", "not_a_string", "bad_date", "iso_week_date", "invalid_json"],
 )
 def test_malformed_meta_names_the_file(tmp_path, capsys, meta_text, problem):
     write_csvs(
@@ -454,6 +455,29 @@ def test_malformed_meta_names_the_file(tmp_path, capsys, meta_text, problem):
     code, _, err = run(capsys, "stats", "--in", str(tmp_path), "--out", str(tmp_path / "s"))
     assert code == 1
     assert err == f"error: {tmp_path / 'meta.json'}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "patient_date, observation_rows, problem",
+    [
+        ("2012-W22-5", "", "patients.csv:2: field 'diagnosis_date': unparseable date '2012-W22-5'"),
+        ("2012-06-01", "P1,PLATELETS,300,20130918,150,450\n",
+         "observations.csv:2: field 'date': unparseable date '20130918'"),
+    ],
+    ids=["patients_iso_week_date", "observations_basic_date"],
+)
+def test_a_csv_date_other_than_yyyy_mm_dd_names_file_line_and_field(tmp_path, capsys, patient_date, observation_rows,
+                                                                     problem):
+    # Python 3.11's date.fromisoformat reads both forms, and ingest used to write them back as YYYY-MM-DD
+    write_csvs(
+        tmp_path,
+        f"patient_id,sex,age_at_diagnosis,diagnosis_date,death_date\nP1,M,67,{patient_date},\n",
+        f"patient_id,measure,value,date,ref_low,ref_high\n{observation_rows}",
+    )
+    code, _, err = run(capsys, "ingest", "--in", str(tmp_path), "--out", str(tmp_path / "o"), "--data-end-date",
+                       "2018-12-31")
+    assert (code, err) == (1, f"error: {tmp_path / problem}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -491,12 +515,14 @@ FAST_EVALUATE = ["--versions", "v1", "--k-min", "5", "--k-max", "5", "--ada-roun
          "Invalid isoformat string: 'garbage'"),
         (["label", "--data-end-date", "2018-13-01"], "--data-end-date must be a YYYY-MM-DD date, got '2018-13-01': "
          "month must be in 1..12"),
+        (["stats", "--data-end-date", "2018-W52-1"], "--data-end-date must be a YYYY-MM-DD date, got '2018-W52-1': "
+         "Invalid isoformat string: '2018-W52-1'"),
         (["synth", "--p-death", "0.1,x,0.3"], "--p-death needs three comma-separated probabilities, got '0.1,x,0.3'"),
         (["synth", "--p-death", "0.1,0.3"], "--p-death needs three comma-separated probabilities, got '0.1,0.3'"),
         (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["evaluate", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
-    ids=["unparsable_date", "month_13", "p_death_not_a_number", "p_death_two_values", "synth_seed", "evaluate_seed"],
+    ids=["unparsable_date", "month_13", "iso_week_date", "p_death_not_a_number", "p_death_two_values", "synth_seed", "evaluate_seed"],
 )
 def test_a_bad_flag_value_names_the_flag(cohort_dir, tmp_path, capsys, monkeypatch, argv, message):
     # each of these used to print only the parser's or numpy's message, naming no flag; evaluate failed only

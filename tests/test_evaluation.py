@@ -34,7 +34,6 @@ def _matrix(y):
         patient_ids=tuple(f"P{i}" for i in range(len(y))),
         X=X,
         y=y,
-        version=Version.V1,
     )
 
 
@@ -355,7 +354,6 @@ def test_feature_consistency_identical_rankings():
         patient_ids=tuple(f"P{i}" for i in range(60)),
         X=X,
         y=y,
-        version=Version.V1,
     )
     from fbcsurv.selection import select_top_k
 

@@ -159,7 +159,7 @@ def test_matrix_determinism_and_roundtrip(tmp_path):
     write_features_csv(m1, tmp_path / "a.csv")
     write_features_csv(m2, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    again = read_features_csv(tmp_path / "a.csv", version=Version.V2)
+    again = read_features_csv(tmp_path / "a.csv")
     assert again.column_names == m1.column_names
     assert np.array_equal(again.X, m1.X)
     assert np.array_equal(again.y, m1.y)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbcsurv.features import FeatureMatrix
-from fbcsurv.labeling import Version
 from fbcsurv.selection import chi2_statistic, rank_features, select_top_k, write_ranking_csv
 
 
@@ -70,7 +69,6 @@ def _matrix(X, y, names):
         patient_ids=tuple(f"P{i}" for i in range(len(y))),
         X=np.asarray(X, dtype=np.int64),
         y=np.asarray(y, dtype=np.int64),
-        version=Version.V1,
     )
 
 

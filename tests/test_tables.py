@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fbcsurv.cohort import MEASURES
 from fbcsurv.features import FeatureMatrix, _parse_canonical, _parse_rows, read_features_csv, write_features_csv
-from fbcsurv.labeling import VERSIONS, CohortLabels, Version, write_labels_csv
+from fbcsurv.labeling import VERSIONS, CohortLabels, write_labels_csv
 from fbcsurv.tables import BLOCK_CELLS
 
 from conftest import make_cohort, make_patient
@@ -42,7 +42,6 @@ def matrices(draw, cells=CELLS, ids=QUOTED_TEXT, names=QUOTED_TEXT, max_rows=8):
         patient_ids=tuple(draw(st.lists(ids, min_size=n, max_size=n))),
         X=X.reshape(n, len(columns)),
         y=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64),
-        version=Version.V1,
     )
 
 
@@ -103,7 +102,7 @@ def test_blocks_split_rows_on_both_value_tables(tmp_path):
     n = 2 * BLOCK_CELLS // 3 + 5
     X = np.arange(3 * n, dtype=np.int64).reshape(n, 3) % 7
     X[-1] = [0, 1, INT64.max - 1]
-    matrix = FeatureMatrix(("a", "b", "c"), tuple(f"P{i}" for i in range(n)), X, np.arange(n) % 2, Version.V1)
+    matrix = FeatureMatrix(("a", "b", "c"), tuple(f"P{i}" for i in range(n)), X, np.arange(n) % 2)
     path = tmp_path / "features.csv"
     write_features_csv(matrix, path)
     rows = ([pid, t, *row] for pid, t, row in zip(matrix.patient_ids, matrix.y.tolist(), X.tolist()))
